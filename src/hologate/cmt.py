@@ -120,6 +120,44 @@ def _pair_strength(delta_n: float, wavelength: float, a: PlaneWaveMode, b: Plane
     return math.pi * delta_n / (wavelength * obliquity)
 
 
+def _recorded_pairs(
+    hologram: Hologram,
+    modes: ModeSet,
+    material: MaterialSpec | None,
+) -> tuple[list[tuple[int, list[tuple[int, complex, float]]]], tuple[float, ...]]:
+    """Validated recorded pairs of each exposure, and the exposure strengths.
+
+    Per exposure: the partner's universe position and one (position,
+    coefficient, kappa0) entry per superposition component.  The strength
+    of an exposure is sqrt(sum (kappa0 |c|)^2), which `optimal_thickness`
+    tunes against.  Raises ValueError for an exposure above the material's
+    modulation ceiling and UnknownMode for a mode outside the set.
+    """
+    wavelength = modes.geometry.wavelength
+    positions = {mode: i for i, mode in enumerate(modes.universe)}
+    pairs = []
+    strengths = []
+    for exposure in hologram.exposures:
+        if material is not None and exposure.index_modulation > material.max_index_modulation:
+            raise ValueError(
+                f"exposure modulation {exposure.index_modulation} exceeds material "
+                f"ceiling {material.max_index_modulation}"
+            )
+        if exposure.partner not in positions:
+            raise UnknownMode(f"partner {exposure.partner} is not in the mode set")
+        components = []
+        strength_sq = 0.0
+        for mode, coeff in exposure.coefficients.items():
+            if mode not in positions:
+                raise UnknownMode(f"mode {mode} is not in the mode set")
+            kappa0 = _pair_strength(exposure.index_modulation, wavelength, exposure.partner, mode)
+            components.append((positions[mode], coeff, kappa0))
+            strength_sq += (kappa0 * abs(coeff)) ** 2
+        pairs.append((positions[exposure.partner], components))
+        strengths.append(math.sqrt(strength_sq))
+    return pairs, tuple(strengths)
+
+
 def build_coupling(
     hologram: Hologram,
     modes: ModeSet,
@@ -133,11 +171,20 @@ def build_coupling(
     aperture resolution element (2*pi/D); those parasitic couplings carry
     the z mismatch as a detuning rate and are only used by the detuned
     integrator when crosstalk is requested.
+
+    Parasitic candidates are found per exposure by one numpy broadcast of
+    all pairwise transverse differences k_a - k_b against the exposure's
+    gratings, with a 1e-9 relative slack on the tolerance so that no pair
+    the scalar test accepts is missed (np.hypot and math.hypot may differ
+    in the last bit).  Each candidate is then confirmed by the scalar test
+    and added in exposure, component, row-major (a, b) order.  That is the
+    order of an exhaustive scan over all pairs, so every merge, every
+    dropped degenerate fringe and every floating-point sum is the same as
+    in that scan, and the result is bit-for-bit identical to it.
     """
     wavelength = modes.geometry.wavelength
     transverse_tol = TWO_PI / modes.geometry.aperture_breadth
     universe = modes.universe
-    positions = {mode: i for i, mode in enumerate(universe)}
     vectors = np.array([wave_vector(m) for m in universe])
     n = len(universe)
 
@@ -186,60 +233,48 @@ def build_coupling(
         recorded[a, b] = is_recorded
         recorded[b, a] = is_recorded
 
+    exposures = hologram.exposures
+    pairs, strengths = _recorded_pairs(hologram, modes, material)
+
     # Pass 1: the recorded pairs, phase matched by construction.
-    strengths: list[float] = []
-    for e_index, exposure in enumerate(hologram.exposures):
-        if material is not None and exposure.index_modulation > material.max_index_modulation:
-            raise ValueError(
-                f"exposure modulation {exposure.index_modulation} exceeds material "
-                f"ceiling {material.max_index_modulation}"
-            )
-        if exposure.partner not in positions:
-            raise UnknownMode(f"partner {exposure.partner} is not in the mode set")
-        p = positions[exposure.partner]
-        strength_sq = 0.0
-        for mode, coeff in exposure.coefficients.items():
-            if mode not in positions:
-                raise UnknownMode(f"mode {mode} is not in the mode set")
-            m = positions[mode]
-            kappa0 = _pair_strength(exposure.index_modulation, wavelength, exposure.partner, mode)
+    for e_index, (exposure, (p, components)) in enumerate(zip(exposures, pairs)):
+        for m, coeff, kappa0 in components:
             value = kappa0 * abs(coeff) * np.exp(1j * (np.angle(coeff) + exposure.phase))
             add(m, p, value, vectors[m] - vectors[p], e_index, True, 0.0)
-            strength_sq += (kappa0 * abs(coeff)) ** 2
-        strengths.append(math.sqrt(strength_sq))
 
     # Pass 2: parasitic replays of each fringe by other, nearly matched pairs.
-    for e_index, exposure in enumerate(hologram.exposures):
-        p = positions[exposure.partner]
-        for mode, coeff in exposure.coefficients.items():
-            m = positions[mode]
-            grating = vectors[m] - vectors[p]
-            for a in range(n):
-                for b in range(n):
-                    if a == b or (a == m and b == p):
-                        continue
-                    mismatch = vectors[a] - vectors[b] - grating
-                    if math.hypot(mismatch[0], mismatch[1]) >= transverse_tol:
-                        continue
-                    cross_mag = _pair_strength(
-                        exposure.index_modulation, wavelength, universe[a], universe[b]
-                    ) * abs(coeff)
-                    cross = cross_mag * np.exp(1j * (np.angle(coeff) + exposure.phase))
-                    add(a, b, cross, grating, e_index, False, float(mismatch[2]))
+    transverse = vectors[:, None, :2] - vectors[None, :, :2]
+    candidate_bound = transverse_tol * (1.0 + 1e-9)
+    for e_index, (exposure, (p, components)) in enumerate(zip(exposures, pairs)):
+        gratings = [vectors[m] - vectors[p] for m, _, _ in components]
+        offsets = transverse - np.array(gratings)[:, None, None, :2]
+        # Negated >= so that NaN offsets stay candidates, as in the scalar test.
+        near = ~(np.hypot(offsets[..., 0], offsets[..., 1]) >= candidate_bound)
+        for c, a, b in np.argwhere(near).tolist():
+            m, coeff, _ = components[c]
+            if a == b or (a == m and b == p):
+                continue
+            grating = gratings[c]
+            mismatch = vectors[a] - vectors[b] - grating
+            if math.hypot(mismatch[0], mismatch[1]) >= transverse_tol:
+                continue
+            cross_mag = _pair_strength(
+                exposure.index_modulation, wavelength, universe[a], universe[b]
+            ) * abs(coeff)
+            cross = cross_mag * np.exp(1j * (np.angle(coeff) + exposure.phase))
+            add(a, b, cross, grating, e_index, False, float(mismatch[2]))
 
     return CouplingSystem(
         modes=universe,
         kappa=kappa,
         xi=xi,
         recorded_mask=recorded,
-        exposure_strengths=tuple(strengths),
+        exposure_strengths=strengths,
         fringes=tuple(fringes),
     )
 
 
-def optimal_thickness(system: CouplingSystem) -> float:
-    """Slab depth pi/(2 kappa0) at which every exposure transfers fully."""
-    strengths = system.exposure_strengths
+def _tuned_thickness(strengths: tuple[float, ...]) -> float:
     if not strengths:
         raise NonuniformCoupling("system has no exposures to tune")
     top = max(strengths)
@@ -251,6 +286,11 @@ def optimal_thickness(system: CouplingSystem) -> float:
             "tune only uniformly coupled holograms"
         )
     return math.pi / (2.0 * top)
+
+
+def optimal_thickness(system: CouplingSystem) -> float:
+    """Slab depth pi/(2 kappa0) at which every exposure transfers fully."""
+    return _tuned_thickness(system.exposure_strengths)
 
 
 def ideal_transfer(system: CouplingSystem, thickness: float) -> TransferResult:
@@ -357,12 +397,15 @@ def detuned_transfer(
 
 
 def tune_stack(stack: GratingStack, material: MaterialSpec | None = None) -> GratingStack:
-    """Assign each hologram its optimal thickness (existing values kept)."""
+    """Assign each hologram its optimal thickness (existing values kept).
+
+    Only the exposure strengths are needed, so no coupling is built here.
+    """
     tuned = []
     for hologram in stack.holograms:
         if hologram.thickness is None:
-            system = build_coupling(hologram, stack.mode_set, material)
-            hologram = hologram.with_thickness(optimal_thickness(system))
+            _, strengths = _recorded_pairs(hologram, stack.mode_set, material)
+            hologram = hologram.with_thickness(_tuned_thickness(strengths))
         tuned.append(hologram)
     return GratingStack(holograms=tuple(tuned), mode_set=stack.mode_set)
 

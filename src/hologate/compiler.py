@@ -20,8 +20,9 @@ exactly rather than up to a state-dependent sign.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,11 +105,19 @@ class Hologram:
                     raise ValueError(
                         "exposure superpositions within one hologram must be orthogonal"
                     )
-        if self.thickness is not None and self.thickness <= 0.0:
-            raise ValueError("thickness must be positive when set")
+        _check_thickness(self.thickness)
 
     def with_thickness(self, thickness: float) -> "Hologram":
-        return replace(self, thickness=thickness)
+        """This hologram at `thickness`; the exposures were validated already."""
+        _check_thickness(thickness)
+        tuned = copy.copy(self)
+        object.__setattr__(tuned, "thickness", thickness)
+        return tuned
+
+
+def _check_thickness(thickness: float | None) -> None:
+    if thickness is not None and thickness <= 0.0:
+        raise ValueError("thickness must be positive when set")
 
 
 @dataclass(frozen=True)

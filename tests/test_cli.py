@@ -197,6 +197,48 @@ class TestOtherCommands:
         ]) == 1
 
 
+class TestBuildCounts:
+    """Every command builds each hologram's coupling exactly once."""
+
+    @pytest.fixture()
+    def plan(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "4", "--out-dir", str(cfg)])
+        target = tmp_path / "u.json"
+        write_matrix(target, haar_unitary(4, np.random.default_rng(8)))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target),
+                     "--geometry", str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        return plan, target
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        import hologate.cmt as cmt
+
+        labels = []
+        build = cmt.build_coupling
+
+        def counted(hologram, *args, **kwargs):
+            labels.append(hologram.label)
+            return build(hologram, *args, **kwargs)
+
+        monkeypatch.setattr(cmt, "build_coupling", counted)
+        return labels
+
+    @pytest.mark.parametrize("command", ["verify", "simulate", "sweep"])
+    def test_one_build_per_hologram(self, tmp_path, plan, builds, command):
+        plan, target = plan
+        argv = {
+            "verify": ["verify", "--plan", str(plan), "--target", str(target)],
+            "simulate": ["simulate", "--plan", str(plan), "--mode", "detuned",
+                         "--out", str(tmp_path / "r.json")],
+            "sweep": ["sweep", "--plan", str(plan), "--tilt-range", "0.001",
+                      "--samples", "2", "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert main(argv) == 0
+        assert sorted(builds) == ["multiplex", "redirection"]
+
+
 class TestDemos:
     def test_cnot_demo(self, tmp_path, capsys):
         assert main(["cnot-demo", "--out-dir", str(tmp_path / "out")]) == 0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -383,6 +384,40 @@ class TestSimulateStack:
         assert result.thickness_used == pytest.approx(
             sum(h.thickness for h in stack.holograms)
         )
+
+
+class TestTuneStack:
+    """tune_stack tunes from the exposure strengths without building a coupling."""
+
+    def test_thickness_equals_optimal_thickness_of_built_system(self, modes8, material):
+        holograms = (
+            compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8),
+            compile_multiplex(haar_unitary(8, np.random.default_rng(17)), modes8),
+            compile_redirection(modes8),
+        )
+        tuned = tune_stack(GratingStack(holograms=holograms, mode_set=modes8), material)
+        for before, after in zip(holograms, tuned.holograms):
+            system = build_coupling(before, modes8, material)
+            assert after.thickness == optimal_thickness(system)
+
+    def test_modulation_ceiling_enforced(self, modes2, material):
+        stack = GratingStack(holograms=(single_grating(modes2, delta_n=5e-3),), mode_set=modes2)
+        with pytest.raises(ValueError, match="exceeds material ceiling"):
+            tune_stack(stack, material)
+
+    def test_unknown_mode_rejected(self, modes2, modes4, material):
+        hologram = Hologram(
+            exposures=(
+                Exposure(
+                    partner=modes4.references[1],
+                    coefficients={modes4.signals[1]: 1.0},
+                ),
+            ),
+        )
+        # GratingStack rejects foreign modes itself, so pass a bare stand-in.
+        stack = SimpleNamespace(holograms=(hologram,), mode_set=modes2)
+        with pytest.raises(UnknownMode):
+            tune_stack(stack, material)
 
 
 class TestSelectivitySweep:

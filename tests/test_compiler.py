@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hologate.compiler as compiler
 from hologate.circuit import CNOT_MATRIX, TELEPORT_UNITARY_UNCONDITIONAL_Z
 from hologate.cmt import simulate_stack, tune_stack
 from hologate.compiler import (
@@ -253,6 +254,25 @@ class TestPlanInvariants:
         hologram = compile_redirection(modes4)
         with pytest.raises(UnknownMode):
             GratingStack(holograms=(hologram,), mode_set=modes2)
+
+
+    def test_with_thickness_does_not_revalidate_exposures(self, modes4, monkeypatch):
+        hologram = compile_multiplex(CNOT_MATRIX, modes4)
+
+        def revalidated(a, b):
+            raise AssertionError("with_thickness re-ran the orthogonality check")
+
+        monkeypatch.setattr(compiler, "_overlap", revalidated)
+        tuned = hologram.with_thickness(2e-3)
+        assert tuned.thickness == 2e-3
+        assert hologram.thickness is None
+        assert tuned.exposures is hologram.exposures
+        assert tuned.label == hologram.label
+
+    @pytest.mark.parametrize("thickness", [0.0, -1e-3])
+    def test_with_thickness_rejects_nonpositive(self, modes4, thickness):
+        with pytest.raises(ValueError):
+            compile_redirection(modes4).with_thickness(thickness)
 
 
 class TestFeasibilityReport:
