@@ -21,6 +21,16 @@ whose exposures encode the orthonormal rows of a unitary U with uniform
 strength, the same algebra gives the block form cos(kappa0 d) * I on
 each cone and i sin(kappa0 d) * U from signal to reference.
 
+Detuned slabs take one of two routes, chosen from the couplings alone.
+When the detunings of every coupled pair come from a per-mode potential,
+xi_nm = d_n - d_m (so on recorded fringes, tilted or not, up to
+rounding, since a recorded grating is k_m - k_p), the substitution
+a = exp(i D z) b makes the equations constant-coefficient and the slab
+transfer is exactly
+exp(i D d) expm(i d (K - D)): Kogelnik's closed form taken to N waves,
+one `eigh` per slab.  Otherwise (parasitic fringes whose mismatches no
+potential explains) a fixed-step RK4 integrates the equations.
+
 Free propagation between stacked slabs multiplies each cone by a common
 phase exp(i k_z dz); that per-cone constant is normalized to zero here
 (physically: absorbed into the recording alignment of the next element),
@@ -43,6 +53,10 @@ _MIN_STEPS = 1000
 #: Steps per full cycle of the fastest phase rotation in the system.
 _STEPS_PER_CYCLE = 80.0
 _MAX_STEPS = 20_000_000
+#: Largest potential residual max|xi_nm - (d_n - d_m)| times thickness, in
+#: radians, for which a slab takes the exact rotating-frame route; RK4 is
+#: only accurate to about this much anyway.
+_POTENTIAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -293,6 +307,12 @@ def optimal_thickness(system: CouplingSystem) -> float:
     return _tuned_thickness(system.exposure_strengths)
 
 
+def _hermitian_exp(matrix: np.ndarray, thickness: float) -> np.ndarray:
+    """expm(i thickness matrix) of a Hermitian matrix, by one eigh."""
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    return (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
+
+
 def ideal_transfer(system: CouplingSystem, thickness: float) -> TransferResult:
     """Transfer exp(i d K) of the phase-matched couplings (crosstalk dropped)."""
     if thickness <= 0.0:
@@ -300,8 +320,7 @@ def ideal_transfer(system: CouplingSystem, thickness: float) -> TransferResult:
     if np.abs(system.xi[system.recorded_mask]).max(initial=0.0) > 0.0:
         raise ValueError("ideal transfer requires zero detuning on retained couplings")
     coupling = np.where(system.recorded_mask, system.kappa, 0.0)
-    eigenvalues, eigenvectors = np.linalg.eigh(coupling)
-    transfer = (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
+    transfer = _hermitian_exp(coupling, thickness)
     return TransferResult(
         transfer=transfer,
         per_mode_efficiency=_efficiencies(transfer),
@@ -347,32 +366,50 @@ def _select_system(
     return kappa, xi
 
 
-def detuned_transfer(
-    system: CouplingSystem,
-    thickness: float,
-    *,
-    include_crosstalk: bool = False,
-    tilt: float = 0.0,
-    tilt_mode: PlaneWaveMode | None = None,
-) -> TransferResult:
-    """Integrate the z-dependent coupled equations across the slab.
+def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-mode potential d fitting xi_nm = d_n - d_m, and its worst residual.
 
-    Classical fixed-step RK4 on the full propagator, with the step chosen
-    to resolve both the coupling beat and the fastest detuning phase:
-    at least `_MIN_STEPS` steps and `_STEPS_PER_CYCLE` steps per radian-
-    cycle of max|xi| + 2 max|kappa|.  `tilt` shifts the polar angle of
-    `tilt_mode` (or of every mode when None) before detunings are
-    recomputed from the stored fringe geometry.
+    d is fixed by a spanning-tree walk over the coupled pairs (kappa != 0),
+    with d = 0 at the first mode of each connected component; the residual
+    is max |xi_nm - (d_n - d_m)| over every coupled pair, so it is zero
+    exactly when a potential explains all the detunings that act.
     """
-    if thickness <= 0.0:
-        raise ValueError("thickness must be positive")
-    kappa, xi = _select_system(system, include_crosstalk, tilt, tilt_mode)
+    coupled = kappa != 0.0
+    n = kappa.shape[0]
+    potential = np.zeros(n)
+    reached = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if reached[root]:
+            continue
+        reached[root] = True
+        frontier = [root]
+        while frontier:
+            m = frontier.pop()
+            for k in np.flatnonzero(coupled[m] & ~reached).tolist():
+                potential[k] = potential[m] + xi[k, m]
+                reached[k] = True
+                frontier.append(k)
+    misfit = np.abs(xi - (potential[:, None] - potential[None, :]))[coupled]
+    return potential, float(misfit.max(initial=0.0))
+
+
+def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float) -> int:
+    """RK4 steps resolving the coupling beat and the fastest detuning phase.
+
+    At least `_MIN_STEPS`, and `_STEPS_PER_CYCLE` per radian-cycle of
+    max|xi| + 2 max|kappa|.  Raises StepUnderflow above `_MAX_STEPS`.
+    """
     rate = float(np.abs(xi).max(initial=0.0) + 2.0 * np.abs(kappa).max(initial=0.0))
     steps = max(_MIN_STEPS, math.ceil(thickness * rate * _STEPS_PER_CYCLE / TWO_PI))
     if steps > _MAX_STEPS:
         raise StepUnderflow(
             f"step bound needs {steps} integrator steps; system is too stiff"
         )
+    return steps
+
+
+def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) -> np.ndarray:
+    """Classical fixed-step RK4 on the full propagator across the slab."""
     h = thickness / steps
     n = kappa.shape[0]
     propagator = np.eye(n, dtype=complex)
@@ -387,10 +424,44 @@ def detuned_transfer(
         k3 = rhs(z + 0.5 * h, propagator + 0.5 * h * k2)
         k4 = rhs(z + h, propagator + h * k3)
         propagator = propagator + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return propagator
 
+
+def detuned_transfer(
+    system: CouplingSystem,
+    thickness: float,
+    *,
+    include_crosstalk: bool = False,
+    tilt: float = 0.0,
+    tilt_mode: PlaneWaveMode | None = None,
+) -> TransferResult:
+    """Transfer of the z-dependent coupled equations across the slab.
+
+    `tilt` shifts the polar angle of `tilt_mode` (or of every mode when
+    None) before detunings are recomputed from the stored fringe geometry.
+    When a per-mode potential d explains the detunings of every coupled
+    pair to within `_POTENTIAL_TOL` radians over the slab (recorded
+    fringes always fit one, up to rounding), the transfer is the exact
+    rotating-frame form diag(exp(i d_n thickness)) expm(i thickness
+    (kappa - diag(d))) from one eigh.  Otherwise fixed-step RK4 integrates
+    the equations.  Either way the RK4 step bound is checked first, so a
+    system too stiff to integrate (or whose phases exp(i d_n thickness)
+    would carry no accurate digits) raises StepUnderflow.
+    """
+    if thickness <= 0.0:
+        raise ValueError("thickness must be positive")
+    kappa, xi = _select_system(system, include_crosstalk, tilt, tilt_mode)
+    steps = _step_count(kappa, xi, thickness)
+    potential, residual = _potential(kappa, xi)
+    if residual * thickness <= _POTENTIAL_TOL:
+        transfer = np.exp(1j * thickness * potential)[:, None] * _hermitian_exp(
+            kappa - np.diag(potential), thickness
+        )
+    else:
+        transfer = _integrate(kappa, xi, thickness, steps)
     return TransferResult(
-        transfer=propagator,
-        per_mode_efficiency=_efficiencies(propagator),
+        transfer=transfer,
+        per_mode_efficiency=_efficiencies(transfer),
         thickness_used=thickness,
         modes=system.modes,
     )
@@ -422,7 +493,9 @@ def simulate_stack(
     Every hologram must carry a thickness (see `tune_stack`).  Inter-slab
     propagation phases are normalized away as described in the module
     docstring.  `mode` is "ideal" (matrix exponential of the phase-matched
-    couplings) or "detuned" (RK4 integration, optionally with crosstalk).
+    couplings) or "detuned" (`detuned_transfer`, optionally with crosstalk:
+    the exact rotating-frame route where a per-mode potential explains the
+    detunings, RK4 integration otherwise).
     """
     if mode not in ("ideal", "detuned"):
         raise ValueError(f"mode must be 'ideal' or 'detuned', got {mode!r}")
@@ -479,6 +552,8 @@ def selectivity_sweep(
     """
     if samples < 2:
         raise ValueError("a sweep needs at least 2 samples")
+    if not math.isfinite(tilt_range):
+        raise ValueError(f"tilt range must be finite, got {tilt_range}")
     if tilt_range <= 0.0:
         raise ValueError("tilt range must be positive")
 

@@ -116,8 +116,8 @@ class Hologram:
 
 
 def _check_thickness(thickness: float | None) -> None:
-    if thickness is not None and thickness <= 0.0:
-        raise ValueError("thickness must be positive when set")
+    if thickness is not None and not 0.0 < thickness < math.inf:
+        raise ValueError(f"thickness must be positive and finite when set, got {thickness}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +239,51 @@ class TestBuildCounts:
         }[command]
         assert main(argv) == 0
         assert sorted(builds) == ["multiplex", "redirection"]
+
+
+class TestNonFiniteInput:
+    """Non-finite thicknesses and tilt ranges exit 2 with an error line naming them."""
+
+    @pytest.fixture()
+    def plan(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        target = tmp_path / "u.json"
+        write_matrix(target, haar_unitary(2, np.random.default_rng(9)))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target),
+                     "--geometry", str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        return plan
+
+    @pytest.mark.parametrize("thickness", [math.inf, math.nan])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--mode", "detuned"],
+        ["simulate", "--mode", "ideal"],
+        ["sweep", "--tilt-range", "0.001", "--samples", "2"],
+    ])
+    def test_non_finite_thickness_exits_2(self, tmp_path, plan, capsys, thickness, command):
+        payload = load_json(plan)
+        payload["holograms"][0]["thickness_m"] = thickness
+        plan.write_text(json.dumps(payload))  # writes the non-standard Infinity/NaN tokens
+        capsys.readouterr()
+        argv = command + ["--plan", str(plan), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "thickness" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tilt_range", ["nan", "inf", "-inf"])
+    def test_non_finite_tilt_range_exits_2(self, tmp_path, plan, capsys, tilt_range):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--plan", str(plan), f"--tilt-range={tilt_range}",
+                         "--samples", "3", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tilt range must be finite" in err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestDemos:

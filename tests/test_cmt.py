@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,6 +330,130 @@ class TestDetunedTransfer:
         system = build_coupling(single_grating(modes2), modes2, material)
         with pytest.raises(ValueError):
             detuned_transfer(system, 0.0)
+
+
+def potential_system(n, rng):
+    """Random Hermitian coupling whose detunings come from a per-mode potential."""
+    system = synthetic_hermitian(n, rng)
+    potential = rng.uniform(-3.0, 3.0, size=n)
+    system = replace(
+        system,
+        kappa=system.kappa / math.sqrt(n),
+        xi=potential[:, None] - potential[None, :],
+    )
+    return system, potential
+
+
+def refuse_integration(*args):
+    raise AssertionError("slab went to the RK4 integrator")
+
+
+class TestExactRoute:
+    """Detunings from a per-mode potential take the rotating-frame closed form."""
+
+    def test_matches_integrator_and_expm_oracle(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        integrate = cmt._integrate
+        monkeypatch.setattr(cmt, "_integrate", refuse_integration)
+        for n in (2, 4, 8, 16):
+            for _ in range(3):
+                system, potential = potential_system(n, rng)
+                kappa, xi = system.kappa, system.xi
+                d = float(rng.uniform(0.5, 2.0))
+                ours = detuned_transfer(system, d).transfer
+                oracle = np.diag(np.exp(1j * d * potential)) @ scipy.linalg.expm(
+                    1j * d * (kappa - np.diag(potential))
+                )
+                reference = integrate(kappa, xi, d, cmt._step_count(kappa, xi, d))
+                assert np.abs(ours - oracle).max() <= 1e-9
+                assert np.abs(ours - reference).max() <= 1e-9
+                assert np.linalg.norm(ours.conj().T @ ours - np.eye(n)) < 1e-9
+
+    def test_potential_recovers_detunings(self):
+        rng = np.random.default_rng(5)
+        system, _ = potential_system(6, rng)
+        kappa = system.kappa.copy()
+        kappa[0, 1:] = kappa[1:, 0] = 0.0  # mode 0 isolated: a component of its own
+        potential, residual = cmt._potential(kappa, system.xi)
+        fitted = potential[:, None] - potential[None, :]
+        assert residual < 1e-12
+        assert np.abs(fitted - system.xi)[1:, 1:].max() < 1e-12
+        assert potential[0] == 0.0
+
+    def test_inconsistent_cycle_goes_to_integrator(self):
+        # Three mutually coupled modes whose detunings sum to 0.7 around the
+        # loop: no per-mode potential explains them.
+        kappa = np.array([[0.0, 1.0, 0.7j], [1.0, 0.0, 0.5], [-0.7j, 0.5, 0.0]])
+        xi = np.array([[0.0, 0.4, -0.2], [-0.4, 0.0, 0.1], [0.2, -0.1, 0.0]])
+        _, residual = cmt._potential(kappa, xi)
+        assert residual == pytest.approx(0.7, rel=1e-12)
+        system = CouplingSystem(
+            modes=synthetic_hermitian(4, np.random.default_rng(0)).modes[:3],
+            kappa=kappa,
+            xi=xi,
+            recorded_mask=np.ones((3, 3), dtype=bool),
+            exposure_strengths=(1.0,),
+        )
+        ours = detuned_transfer(system, 1.0).transfer
+        integrated = cmt._integrate(kappa, xi, 1.0, cmt._step_count(kappa, xi, 1.0))
+        assert np.array_equal(ours, integrated)
+
+    def test_crosstalk_teleport_goes_to_integrator(self, modes8, material, monkeypatch):
+        hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
+        system = build_coupling(hologram, modes8, material)
+        d = optimal_thickness(system)
+        kappa, xi = cmt._select_system(system, True, 0.0, None)
+        assert cmt._potential(kappa, xi)[1] * d > 1.0
+        calls = []
+        monkeypatch.setattr(cmt, "_integrate", lambda *args: calls.append(args) or np.eye(16))
+        detuned_transfer(system, d, include_crosstalk=True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tilt, tilt_mode", [(3e-4, None), (1e-3, 0), (3e-3, 0)])
+    def test_tilted_teleport_and_cnot_slabs_match_integrator(
+        self, modes4, modes8, material, monkeypatch, tilt, tilt_mode
+    ):
+        from hologate.compiler import compile_cnot_stack
+
+        integrate = cmt._integrate
+        monkeypatch.setattr(cmt, "_integrate", refuse_integration)
+        slabs = [(compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8), modes8, False)]
+        slabs += [(h, modes4, False) for h in compile_cnot_stack(modes4).holograms]
+        # The CNOT gratings' parasitic fringes also come from a potential.
+        slabs.append((compile_cnot_stack(modes4).holograms[0], modes4, True))
+        for hologram, modes, crosstalk in slabs:
+            system = build_coupling(hologram, modes, material)
+            d = optimal_thickness(system)
+            mode = None if tilt_mode is None else modes.signals[tilt_mode]
+            ours = detuned_transfer(
+                system, d, include_crosstalk=crosstalk, tilt=tilt, tilt_mode=mode
+            ).transfer
+            kappa, xi = cmt._select_system(system, crosstalk, tilt, mode)
+            reference = integrate(kappa, xi, d, cmt._step_count(kappa, xi, d))
+            assert np.abs(ours - reference).max() <= 1e-9
+            assert np.linalg.norm(ours.conj().T @ ours - np.eye(len(ours))) < 1e-9
+
+
+class TestIntegrator:
+    """The RK4 route, aimed at directly now that potential-consistent pairs go exact."""
+
+    def test_two_mode_closed_form_grid(self):
+        d = 1.0
+        for nu in np.linspace(0.05, math.pi, 7):
+            for x in np.linspace(0.0, 2 * math.pi, 9):
+                system = synthetic_pair(nu / d, 2 * x / d)
+                steps = cmt._step_count(system.kappa, system.xi, d)
+                transfer = cmt._integrate(system.kappa, system.xi, d, steps)
+                assert abs(transfer[1, 0]) ** 2 == pytest.approx(
+                    two_mode_efficiency(nu, x), abs=1e-6
+                ), f"nu={nu}, x={x}"
+
+    def test_step_halving_convergence(self):
+        system = synthetic_pair(math.pi / 2, math.pi)
+        steps = cmt._step_count(system.kappa, system.xi, 1.0)
+        coarse = cmt._integrate(system.kappa, system.xi, 1.0, steps)
+        fine = cmt._integrate(system.kappa, system.xi, 1.0, 2 * steps)
+        assert np.linalg.norm(coarse - fine) < 1e-9
 
 
 class TestSimulateStack:
