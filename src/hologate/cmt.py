@@ -21,6 +21,12 @@ whose exposures encode the orthonormal rows of a unitary U with uniform
 strength, the same algebra gives the block form cos(kappa0 d) * I on
 each cone and i sin(kappa0 d) * U from signal to reference.
 
+A coupling is held once, as the dense kappa, xi and recorded-mask
+arrays.  An input tilt changes only the tilted modes' k_z, and every
+detuning is the z component of k_a - k_b - grating, so a tilt is an
+exact per-mode potential: it adds shift_a - shift_b to xi_ab, with
+shift_n the tilted mode's change in k_z.
+
 Detuned slabs take one of two routes, chosen from the couplings alone.
 When the detunings of every coupled pair come from a per-mode potential,
 xi_nm = d_n - d_m (so on recorded fringes, tilted or not, up to
@@ -60,25 +66,6 @@ _POTENTIAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Fringe:
-    """One recorded (or parasitic) coupling between two universe positions.
-
-    `coupling` is the kappa[a, b] entry for the orientation in which mode
-    a absorbs the grating vector: k_a ~ k_b + grating.  `detuning` is the
-    z-component of (k_a - k_b - grating); it vanishes for the recorded
-    pair and measures Bragg mismatch for crosstalk couplings.
-    """
-
-    a: int
-    b: int
-    coupling: complex
-    grating: tuple[float, float, float]
-    exposure: int
-    recorded: bool
-    detuning: float
-
-
-@dataclass(frozen=True)
 class CouplingSystem:
     """All couplings one hologram induces on the 2N-mode universe."""
 
@@ -87,7 +74,6 @@ class CouplingSystem:
     xi: np.ndarray
     recorded_mask: np.ndarray
     exposure_strengths: tuple[float, ...]
-    fringes: tuple[Fringe, ...] = ()
 
     def __post_init__(self):
         kappa = np.asarray(self.kappa, dtype=complex)
@@ -205,19 +191,13 @@ def build_coupling(
     kappa = np.zeros((n, n), dtype=complex)
     xi = np.zeros((n, n))
     recorded = np.zeros((n, n), dtype=bool)
-    fringes: list[Fringe] = []
-    # At most one fringe per unordered pair: later contributions merge into
-    # it, so per-pair detunings stay single-valued.
-    pair_index: dict[frozenset, int] = {}
+    # At most one detuning per unordered pair: later contributions merge
+    # into the first, so per-pair detunings stay single-valued.
+    paired = np.zeros((n, n), dtype=bool)
 
-    def add(a: int, b: int, value: complex, grating: np.ndarray, exposure: int,
-            is_recorded: bool, detuning: float) -> None:
-        pair = frozenset((a, b))
-        existing = pair_index.get(pair)
-        if existing is not None:
-            prior = fringes[existing]
-            oriented = detuning if (a, b) == (prior.a, prior.b) else -detuning
-            if abs(prior.detuning - oriented) > 1e-6:
+    def add(a: int, b: int, value: complex, is_recorded: bool, detuning: float) -> None:
+        if paired[a, b]:
+            if abs(xi[a, b] - detuning) > 1e-6:
                 # Two fringes drive this pair at different mismatch rates (a
                 # degeneracy of symmetric cone layouts: a grating can weakly
                 # address the antipodal recorded pair).  The better-matched
@@ -227,39 +207,27 @@ def build_coupling(
                 if not is_recorded:
                     return
                 raise ValueError("conflicting detunings on one mode pair")
-            merged_value = value if (a, b) == (prior.a, prior.b) else np.conj(value)
-            fringes[existing] = replace(
-                prior,
-                coupling=prior.coupling + merged_value,
-                recorded=prior.recorded or is_recorded,
-            )
-            kappa[prior.a, prior.b] += merged_value
-            kappa[prior.b, prior.a] += np.conj(merged_value)
-            recorded[a, b] = recorded[a, b] or is_recorded
-            recorded[b, a] = recorded[b, a] or is_recorded
-            return
-        pair_index[pair] = len(fringes)
-        fringes.append(Fringe(a, b, value, tuple(grating), exposure, is_recorded, detuning))
+        else:
+            paired[a, b] = paired[b, a] = True
+            xi[a, b] = detuning
+            xi[b, a] = -detuning
         kappa[a, b] += value
         kappa[b, a] += np.conj(value)
-        xi[a, b] = detuning
-        xi[b, a] = -detuning
-        recorded[a, b] = is_recorded
-        recorded[b, a] = is_recorded
+        recorded[a, b] = recorded[b, a] = recorded[a, b] or is_recorded
 
     exposures = hologram.exposures
     pairs, strengths = _recorded_pairs(hologram, modes, material)
 
     # Pass 1: the recorded pairs, phase matched by construction.
-    for e_index, (exposure, (p, components)) in enumerate(zip(exposures, pairs)):
+    for exposure, (p, components) in zip(exposures, pairs):
         for m, coeff, kappa0 in components:
             value = kappa0 * abs(coeff) * np.exp(1j * (np.angle(coeff) + exposure.phase))
-            add(m, p, value, vectors[m] - vectors[p], e_index, True, 0.0)
+            add(m, p, value, True, 0.0)
 
     # Pass 2: parasitic replays of each fringe by other, nearly matched pairs.
     transverse = vectors[:, None, :2] - vectors[None, :, :2]
     candidate_bound = transverse_tol * (1.0 + 1e-9)
-    for e_index, (exposure, (p, components)) in enumerate(zip(exposures, pairs)):
+    for exposure, (p, components) in zip(exposures, pairs):
         gratings = [vectors[m] - vectors[p] for m, _, _ in components]
         offsets = transverse - np.array(gratings)[:, None, None, :2]
         # Negated >= so that NaN offsets stay candidates, as in the scalar test.
@@ -268,15 +236,14 @@ def build_coupling(
             m, coeff, _ = components[c]
             if a == b or (a == m and b == p):
                 continue
-            grating = gratings[c]
-            mismatch = vectors[a] - vectors[b] - grating
+            mismatch = vectors[a] - vectors[b] - gratings[c]
             if math.hypot(mismatch[0], mismatch[1]) >= transverse_tol:
                 continue
             cross_mag = _pair_strength(
                 exposure.index_modulation, wavelength, universe[a], universe[b]
             ) * abs(coeff)
             cross = cross_mag * np.exp(1j * (np.angle(coeff) + exposure.phase))
-            add(a, b, cross, grating, e_index, False, float(mismatch[2]))
+            add(a, b, cross, False, float(mismatch[2]))
 
     return CouplingSystem(
         modes=universe,
@@ -284,7 +251,6 @@ def build_coupling(
         xi=xi,
         recorded_mask=recorded,
         exposure_strengths=strengths,
-        fringes=tuple(fringes),
     )
 
 
@@ -329,41 +295,29 @@ def ideal_transfer(system: CouplingSystem, thickness: float) -> TransferResult:
     )
 
 
-def _tilted_vector(mode: PlaneWaveMode, tilt: float) -> np.ndarray:
-    return wave_vector(replace(mode, cone_half_angle=mode.cone_half_angle + tilt))
-
-
 def _select_system(
     system: CouplingSystem,
     include_crosstalk: bool,
     tilt: float,
     tilt_mode: PlaneWaveMode | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """kappa and xi restricted to the requested couplings, tilt applied."""
-    if tilt == 0.0:
-        mask = system.recorded_mask if not include_crosstalk else (
-            system.recorded_mask | (system.kappa != 0.0)
-        )
-        return np.where(mask, system.kappa, 0.0), np.where(mask, system.xi, 0.0)
-    if not system.fringes:
-        raise ValueError("system carries no fringe geometry; cannot apply a tilt")
-    n = len(system.modes)
-    vectors = np.empty((n, 3))
-    for i, mode in enumerate(system.modes):
-        shift = tilt if (tilt_mode is None or mode == tilt_mode) else 0.0
-        vectors[i] = _tilted_vector(mode, shift) if shift else wave_vector(mode)
-    kappa = np.zeros((n, n), dtype=complex)
-    xi = np.zeros((n, n))
-    for fringe in system.fringes:
-        if not (fringe.recorded or include_crosstalk):
-            continue
-        a, b = fringe.a, fringe.b
-        kappa[a, b] += fringe.coupling
-        kappa[b, a] += np.conj(fringe.coupling)
-        detuning = float((vectors[a] - vectors[b] - np.asarray(fringe.grating))[2])
-        xi[a, b] = detuning
-        xi[b, a] = -detuning
-    return kappa, xi
+    """kappa and xi restricted to the requested couplings, tilt applied.
+
+    A tilt adds shift_a - shift_b to xi_ab, where shift_n is k_z(tilted)
+    - k_z(untilted) for a tilted mode and zero otherwise.
+    """
+    xi = system.xi
+    if tilt != 0.0:
+        shift = np.zeros(len(system.modes))
+        for n, mode in enumerate(system.modes):
+            if tilt_mode is None or mode == tilt_mode:
+                tilted = replace(mode, cone_half_angle=mode.cone_half_angle + tilt)
+                shift[n] = wave_vector(tilted)[2] - wave_vector(mode)[2]
+        xi = xi + (shift[:, None] - shift[None, :])
+    mask = system.recorded_mask if not include_crosstalk else (
+        system.recorded_mask | (system.kappa != 0.0)
+    )
+    return np.where(mask, system.kappa, 0.0), np.where(mask, xi, 0.0)
 
 
 def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
@@ -438,7 +392,8 @@ def detuned_transfer(
     """Transfer of the z-dependent coupled equations across the slab.
 
     `tilt` shifts the polar angle of `tilt_mode` (or of every mode when
-    None) before detunings are recomputed from the stored fringe geometry.
+    None); its change in each tilted mode's k_z is added to the detunings
+    as an exact per-mode potential.
     When a per-mode potential d explains the detunings of every coupled
     pair to within `_POTENTIAL_TOL` radians over the slab (recorded
     fringes always fit one, up to rounding), the transfer is the exact
@@ -539,7 +494,6 @@ def selectivity_sweep(
     tilt_range: float,
     samples: int,
     *,
-    thickness: float | None = None,
     input_mode: PlaneWaveMode | None = None,
     include_crosstalk: bool = False,
 ) -> list[tuple[float, float]]:
@@ -558,18 +512,18 @@ def selectivity_sweep(
         raise ValueError("tilt range must be positive")
 
     if isinstance(plan, Hologram):
-        hologram = plan if thickness is None else plan.with_thickness(thickness)
-        stack = GratingStack(holograms=(hologram,), mode_set=modes)
-    else:
-        stack = plan
-    stack = tune_stack(stack, material)
-
-    holograms = stack.holograms
+        plan = GratingStack(holograms=(plan,), mode_set=modes)
+    holograms = tune_stack(plan, material).holograms
     if not holograms or not holograms[0].exposures:
         raise ValueError("cannot sweep an empty plan")
     if input_mode is None:
         input_mode = _dominant_input(holograms[0], modes)
     in_pos = modes.position(input_mode)
+    if not input_mode.cone_half_angle + tilt_range < math.pi / 2:
+        raise ValueError(
+            f"tilt range {tilt_range} rad tilts the input mode to or past pi/2 "
+            f"(its cone half angle is {input_mode.cone_half_angle} rad)"
+        )
 
     systems = [build_coupling(h, modes, material) for h in holograms]
 

@@ -66,8 +66,10 @@ class Exposure:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("exposure needs at least one superposition component")
-        if self.index_modulation <= 0.0:
-            raise ValueError("index modulation must be positive")
+        if not 0.0 < self.index_modulation < math.inf:
+            raise ValueError(
+                f"index modulation must be positive and finite, got {self.index_modulation}"
+            )
         if self.partner in self.coefficients:
             raise ValueError("partner wave cannot appear in its own superposition")
         total = sum(abs(c) ** 2 for c in self.coefficients.values())
@@ -148,8 +150,9 @@ class MaterialSpec:
 
     def __post_init__(self):
         for field_name in ("max_total_thickness", "max_index_modulation", "meters_per_recording"):
-            if getattr(self, field_name) <= 0.0:
-                raise ValueError(f"{field_name} must be positive")
+            value = getattr(self, field_name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{field_name} must be positive and finite, got {value}")
 
 
 def _as_unitary(matrix: np.ndarray, dimension: int) -> np.ndarray:
@@ -158,8 +161,9 @@ def _as_unitary(matrix: np.ndarray, dimension: int) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} does not match mode dimension {dimension}"
         )
-    defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(dimension))
-    if defect > _UNITARY_FROBENIUS_TOL:
+    with np.errstate(invalid="ignore"):  # inf entries give a NaN defect, rejected below
+        defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(dimension))
+    if not defect <= _UNITARY_FROBENIUS_TOL:
         raise NotUnitary(f"matrix is not unitary (Frobenius defect {defect:.2e})")
     return matrix
 

@@ -57,8 +57,8 @@ class PlaneWaveMode:
             raise InvalidGeometry(
                 f"cone half angle must lie in (0, pi/2), got {self.cone_half_angle}"
             )
-        if self.wavenumber <= 0.0:
-            raise InvalidGeometry("wavenumber must be positive")
+        if not 0.0 < self.wavenumber < math.inf:
+            raise InvalidGeometry(f"wavenumber must be positive and finite, got {self.wavenumber}")
         object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
 
 
@@ -93,10 +93,12 @@ class ConeGeometry:
             self.signal_half_angle, self.reference_half_angle, rel_tol=1e-12, abs_tol=0.0
         ):
             raise InvalidGeometry("signal and reference cones must have distinct half angles")
-        if self.wavelength <= 0.0:
-            raise InvalidGeometry("wavelength must be positive")
-        if self.aperture_breadth <= 0.0:
-            raise InvalidGeometry("aperture breadth must be positive")
+        if not 0.0 < self.wavelength < math.inf:
+            raise InvalidGeometry(f"wavelength must be positive and finite, got {self.wavelength}")
+        if not 0.0 < self.aperture_breadth < math.inf:
+            raise InvalidGeometry(
+                f"aperture breadth must be positive and finite, got {self.aperture_breadth}"
+            )
 
     @property
     def wavenumber(self) -> float:

@@ -242,7 +242,7 @@ class TestBuildCounts:
 
 
 class TestNonFiniteInput:
-    """Non-finite thicknesses and tilt ranges exit 2 with an error line naming them."""
+    """Non-finite or out-of-range inputs exit 2 with an error line naming them."""
 
     @pytest.fixture()
     def plan(self, tmp_path):
@@ -284,6 +284,66 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "tilt range must be finite" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("tilt_range", ["1.5", "10"])
+    def test_tilt_range_past_the_cone_exits_2(self, tmp_path, plan, capsys, tilt_range):
+        capsys.readouterr()
+        code = main(["sweep", "--plan", str(plan), "--tilt-range", tilt_range,
+                     "--samples", "3", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"tilt range {float(tilt_range)}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field, name, key", [
+        ("index modulation", None, None),  # set by --delta-n
+        ("wavelength", "geometry.json", "lambda_m"),
+        ("aperture breadth", "geometry.json", "aperture_m"),
+        ("not unitary", "u.json", "entries"),
+    ])
+    def test_non_finite_compile_input_exits_2(self, tmp_path, capsys, field, name, key, value):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        write_matrix(cfg / "u.json", haar_unitary(2, np.random.default_rng(9)))
+        flags = [f"--delta-n={value}"] if name is None else []
+        if name is not None:
+            payload = load_json(cfg / name)
+            payload[key] = [[value, value]] * 4 if key == "entries" else value
+            (cfg / name).write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "plan.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compile", "--unitary", str(cfg / "u.json"), "--geometry",
+                         str(cfg / "geometry.json"), "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key, field", [
+        ("max_total_thickness_m", "max_total_thickness"),
+        ("max_index_modulation", "max_index_modulation"),
+        ("meters_per_recording", "meters_per_recording"),
+    ])
+    def test_non_finite_material_exits_2(self, tmp_path, plan, capsys, key, field, value):
+        material = tmp_path / "cfg" / "material.json"
+        payload = load_json(material)
+        payload[key] = value
+        material.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        code = main(["feasibility", "--plan", str(plan), "--material", str(material),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDemos:

@@ -152,9 +152,9 @@ class TestBuildCoupling:
     def test_crosstalk_fringes_are_detuned(self, modes8, material):
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
-        cross = [f for f in system.fringes if not f.recorded]
-        assert cross, "symmetric cone layout should produce parasitic matches"
-        assert all(abs(f.detuning) > 1e3 for f in cross)
+        cross = (system.kappa != 0) & ~system.recorded_mask
+        assert cross.any(), "symmetric cone layout should produce parasitic matches"
+        assert np.all(np.abs(system.xi[cross]) > 1e3)
 
     def test_unknown_mode_rejected(self, modes2, modes4, material):
         # modes4.signals[1] sits at azimuth pi/2, which no dimension-2 basis has.
@@ -330,6 +330,21 @@ class TestDetunedTransfer:
         system = build_coupling(single_grating(modes2), modes2, material)
         with pytest.raises(ValueError):
             detuned_transfer(system, 0.0)
+
+    def test_synthetic_system_accepts_tilt(self):
+        # No build stands behind this system; a tilt moves the tilted mode's
+        # k_z alone, so xi_01 shifts by k (cos(theta + tilt) - cos(theta)).
+        nu, x, tilt = math.pi / 2, 0.4, 0.05
+        system = synthetic_pair(nu, 2 * x)
+        signal = system.modes[0]
+        shift = signal.wavenumber * (
+            math.cos(signal.cone_half_angle + tilt) - math.cos(signal.cone_half_angle)
+        )
+        result = detuned_transfer(system, 1.0, tilt=tilt, tilt_mode=signal)
+        assert abs(result.transfer[1, 0]) ** 2 == pytest.approx(
+            two_mode_efficiency(nu, x + shift / 2), abs=1e-9
+        )
+        assert abs(shift) > 0.01
 
 
 def potential_system(n, rng):

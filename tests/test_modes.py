@@ -98,6 +98,11 @@ class TestWaveVector:
         mode = PlaneWaveMode(Role.SIGNAL, 2, math.pi / 2, math.pi / 6, k)
         assert np.allclose(wave_vector(mode), [0.0, 0.5 * k, k * math.sqrt(3) / 2], atol=1e-6)
 
+    @pytest.mark.parametrize("wavenumber", [math.nan, math.inf, 0.0])
+    def test_non_finite_wavenumber_rejected(self, wavenumber):
+        with pytest.raises(InvalidGeometry, match="wavenumber"):
+            PlaneWaveMode(Role.SIGNAL, 1, 0.0, math.pi / 6, wavenumber)
+
     @given(
         azimuth=st.floats(0.0, 2 * math.pi, exclude_max=True),
         angle=st.floats(1e-3, math.pi / 2 - 1e-3),
