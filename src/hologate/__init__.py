@@ -43,7 +43,6 @@ from .compiler import (
     GratingStack,
     Hologram,
     MaterialSpec,
-    compile_cnot_stack,
     compile_multiplex,
     compile_redirection,
     compile_signed_permutation_stack,

@@ -7,6 +7,7 @@ files or flags, 3 verification below threshold.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -177,8 +178,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _output_space(stack: compiler.GratingStack) -> Role:
-    last = stack.holograms[-1]
-    return last.exposures[0].partner.role
+    if not stack.holograms:
+        return Role.SIGNAL  # an empty stack leaves the light on the signal cone
+    return stack.holograms[-1].exposures[0].partner.role
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -203,12 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     material = _load_material(args.material)
     rows = cmt.selectivity_sweep(
-        stack,
-        stack.mode_set,
-        material,
-        args.tilt_range,
-        args.samples,
-        include_crosstalk=args.crosstalk,
+        stack, material, args.tilt_range, args.samples, include_crosstalk=args.crosstalk
     )
     formats.write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
@@ -218,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_feasibility(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     material = formats.material_from_dict(formats.load_json(args.material))
-    report = compiler.feasibility_report(stack, material, stack.mode_set.geometry)
+    report = compiler.feasibility_report(stack, material)
     payload = {
         "recordings": report.recordings,
         "dimension": report.dimension,
@@ -233,7 +230,10 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         "max_dimension": report.max_dimension,
     }
     if args.out:
-        formats.dump_json(payload, args.out)
+        # An empty plan has infinite selectivity, which JSON spells null.
+        selectivity = report.angular_selectivity
+        finite = selectivity if math.isfinite(selectivity) else None
+        formats.dump_json({**payload, "angular_selectivity_rad": finite}, args.out)
     for key in sorted(payload):
         print(f"{key}: {payload[key]}")
     return EXIT_OK
@@ -263,10 +263,9 @@ def _run_demo(
     result = cmt.simulate_stack(stack, material, "ideal")
     realized = metrics.realized_unitary(result, stack.mode_set, Role.SIGNAL)
     report = metrics.process_fidelity(target, realized, threshold=args.threshold)
-    feas = compiler.feasibility_report(stack, material, stack.mode_set.geometry)
+    feas = compiler.feasibility_report(stack, material)
     sweep_rows = cmt.selectivity_sweep(
-        stack.holograms[0],
-        stack.mode_set,
+        compiler.GratingStack(holograms=stack.holograms[:1], mode_set=stack.mode_set),
         material,
         tilt_range=2.0 * feas.angular_selectivity,
         samples=9,
@@ -333,7 +332,7 @@ def cmd_cnot_demo(args: argparse.Namespace) -> int:
     geometry = _demo_geometry(args, 4)
     material = _demo_material(args)
     modes = make_cone_basis(geometry)
-    stack = compiler.compile_cnot_stack(modes)
+    stack = compiler.compile_signed_permutation_stack(qc.CNOT_MATRIX, modes)
     extra = {"gratings": len(stack.holograms)}
     return _run_demo(args, "cnot-demo", stack, qc.CNOT_MATRIX, material, extra)
 
@@ -346,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (StepUnderflow, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (StepUnderflow, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (HologateError, ValueError, KeyError, OSError) as exc:

@@ -99,20 +99,19 @@ class TransferResult:
     """
 
     transfer: np.ndarray
-    per_mode_efficiency: tuple[float, ...]
     thickness_used: float
     modes: tuple[PlaneWaveMode, ...]
+
+    @property
+    def per_mode_efficiency(self) -> tuple[float, ...]:
+        power = np.abs(self.transfer) ** 2
+        return tuple(float(p) for p in power.max(axis=0))
 
     def position(self, mode: PlaneWaveMode) -> int:
         try:
             return self.modes.index(mode)
         except ValueError:
             raise UnknownMode(f"mode {mode} is not in this result's universe") from None
-
-
-def _efficiencies(transfer: np.ndarray) -> tuple[float, ...]:
-    power = np.abs(transfer) ** 2
-    return tuple(float(p) for p in power.max(axis=0))
 
 
 def _pair_strength(delta_n: float, wavelength: float, a: PlaneWaveMode, b: PlaneWaveMode) -> float:
@@ -276,20 +275,21 @@ def optimal_thickness(system: CouplingSystem) -> float:
 def _hermitian_exp(matrix: np.ndarray, thickness: float) -> np.ndarray:
     """expm(i thickness matrix) of a Hermitian matrix, by one eigh."""
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    if not math.isfinite(thickness * float(np.abs(eigenvalues).max(initial=0.0))):
+        raise FloatingPointError(f"slab phase overflows at thickness {thickness}")
     return (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
 
 
 def ideal_transfer(system: CouplingSystem, thickness: float) -> TransferResult:
     """Transfer exp(i d K) of the phase-matched couplings (crosstalk dropped)."""
-    if thickness <= 0.0:
-        raise ValueError("thickness must be positive")
+    if not 0.0 < thickness < math.inf:
+        raise ValueError(f"thickness must be positive and finite, got {thickness}")
     if np.abs(system.xi[system.recorded_mask]).max(initial=0.0) > 0.0:
         raise ValueError("ideal transfer requires zero detuning on retained couplings")
     coupling = np.where(system.recorded_mask, system.kappa, 0.0)
     transfer = _hermitian_exp(coupling, thickness)
     return TransferResult(
         transfer=transfer,
-        per_mode_efficiency=_efficiencies(transfer),
         thickness_used=thickness,
         modes=system.modes,
     )
@@ -403,8 +403,8 @@ def detuned_transfer(
     system too stiff to integrate (or whose phases exp(i d_n thickness)
     would carry no accurate digits) raises StepUnderflow.
     """
-    if thickness <= 0.0:
-        raise ValueError("thickness must be positive")
+    if not 0.0 < thickness < math.inf:
+        raise ValueError(f"thickness must be positive and finite, got {thickness}")
     kappa, xi = _select_system(system, include_crosstalk, tilt, tilt_mode)
     steps = _step_count(kappa, xi, thickness)
     potential, residual = _potential(kappa, xi)
@@ -416,7 +416,6 @@ def detuned_transfer(
         transfer = _integrate(kappa, xi, thickness, steps)
     return TransferResult(
         transfer=transfer,
-        per_mode_efficiency=_efficiencies(transfer),
         thickness_used=thickness,
         modes=system.modes,
     )
@@ -473,7 +472,6 @@ def simulate_stack(
         total += hologram.thickness
     return TransferResult(
         transfer=transfer,
-        per_mode_efficiency=_efficiencies(transfer),
         thickness_used=total,
         modes=universe,
     )
@@ -488,20 +486,18 @@ def _dominant_input(hologram: Hologram, modes: ModeSet) -> PlaneWaveMode:
 
 
 def selectivity_sweep(
-    plan: GratingStack | Hologram,
-    modes: ModeSet,
+    stack: GratingStack,
     material: MaterialSpec | None,
     tilt_range: float,
     samples: int,
     *,
-    input_mode: PlaneWaveMode | None = None,
     include_crosstalk: bool = False,
 ) -> list[tuple[float, float]]:
     """Efficiency into the designed output mode across input tilts.
 
-    The designed output mode is wherever the untilted, tuned plan sends
-    the most power from `input_mode` (default: the dominant component of
-    the first exposure).  Rows are (tilt, efficiency), tilt ascending and
+    The input is the dominant component of the first exposure; the
+    designed output mode is wherever the untilted, tuned stack sends the
+    most power from it.  Rows are (tilt, efficiency), tilt ascending and
     equally spaced over [0, tilt_range].
     """
     if samples < 2:
@@ -511,18 +507,16 @@ def selectivity_sweep(
     if tilt_range <= 0.0:
         raise ValueError("tilt range must be positive")
 
-    if isinstance(plan, Hologram):
-        plan = GratingStack(holograms=(plan,), mode_set=modes)
-    holograms = tune_stack(plan, material).holograms
+    modes = stack.mode_set
+    holograms = tune_stack(stack, material).holograms
     if not holograms or not holograms[0].exposures:
         raise ValueError("cannot sweep an empty plan")
-    if input_mode is None:
-        input_mode = _dominant_input(holograms[0], modes)
-    in_pos = modes.position(input_mode)
-    if not input_mode.cone_half_angle + tilt_range < math.pi / 2:
+    source_mode = _dominant_input(holograms[0], modes)
+    in_pos = modes.position(source_mode)
+    if not source_mode.cone_half_angle + tilt_range < math.pi / 2:
         raise ValueError(
             f"tilt range {tilt_range} rad tilts the input mode to or past pi/2 "
-            f"(its cone half angle is {input_mode.cone_half_angle} rad)"
+            f"(its cone half angle is {source_mode.cone_half_angle} rad)"
         )
 
     systems = [build_coupling(h, modes, material) for h in holograms]
@@ -535,7 +529,7 @@ def selectivity_sweep(
                 hologram.thickness,
                 include_crosstalk=include_crosstalk,
                 tilt=tilt,
-                tilt_mode=input_mode,
+                tilt_mode=source_mode,
             )
             transfer = step.transfer @ transfer
         return transfer

@@ -15,7 +15,9 @@ diffraction multiplies the amplitude by i, a state that diffracts twice
 picks up a factor -1 relative to the undiffracted pass-through states;
 the return gratings are therefore recorded with a half-period fringe
 shift (phase pi) so the assembled stack realizes the target matrix
-exactly rather than up to a state-dependent sign.
+exactly rather than up to a state-dependent sign.  The CNOT is compiled
+this way, as the signed permutation CNOT_MATRIX: two forward gratings
+(S3 -> R4, S4 -> R3) and two returns, while S1 and S2 pass through.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     NotUnitary,
     UnknownMode,
 )
-from .modes import ConeGeometry, ModeSet, PlaneWaveMode, TWO_PI, wave_vector
+from .modes import ModeSet, PlaneWaveMode, TWO_PI, wave_vector
 
 #: Index-modulation amplitude used when a plan does not specify one.
 #: An illustrative value for PTR-like glass; adjust per material batch.
@@ -70,10 +72,12 @@ class Exposure:
             raise ValueError(
                 f"index modulation must be positive and finite, got {self.index_modulation}"
             )
+        if not math.isfinite(self.phase):
+            raise ValueError(f"exposure phase must be finite, got {self.phase}")
         if self.partner in self.coefficients:
             raise ValueError("partner wave cannot appear in its own superposition")
-        total = sum(abs(c) ** 2 for c in self.coefficients.values())
-        if abs(total - 1.0) > _COEFF_NORM_TOL:
+        total = sum(abs(c) * abs(c) for c in self.coefficients.values())
+        if not abs(total - 1.0) <= _COEFF_NORM_TOL:
             raise ValueError(f"superposition norm {total} is not 1")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
 
@@ -161,7 +165,8 @@ def _as_unitary(matrix: np.ndarray, dimension: int) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} does not match mode dimension {dimension}"
         )
-    with np.errstate(invalid="ignore"):  # inf entries give a NaN defect, rejected below
+    # Huge or inf entries give an inf or NaN defect, rejected below.
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(dimension))
     if not defect <= _UNITARY_FROBENIUS_TOL:
         raise NotUnitary(f"matrix is not unitary (Frobenius defect {defect:.2e})")
@@ -236,28 +241,6 @@ def _single_exposure(
         ),
         label=label,
     )
-
-
-def compile_cnot_stack(
-    modes: ModeSet, *, index_modulation: float = DEFAULT_INDEX_MODULATION
-) -> GratingStack:
-    """Four single-exposure gratings realizing CNOT on a 4-dimensional basis.
-
-    Gratings 1 and 2 divert S3 and S4 onto R4 and R3; gratings 3 and 4
-    return R3 and R4 onto S3 and S4.  S1 and S2 traverse the whole stack
-    undiffracted, which is why the return gratings carry the pi fringe
-    shift discussed in the module docstring.
-    """
-    if modes.dimension != 4:
-        raise DimensionMismatch(f"CNOT stack needs dimension 4, got {modes.dimension}")
-    s, r = modes.signals, modes.references
-    holograms = (
-        _single_exposure(r[3], s[2], 1.0, index_modulation, 0.0, "forward S3->R4"),
-        _single_exposure(r[2], s[3], 1.0, index_modulation, 0.0, "forward S4->R3"),
-        _single_exposure(s[2], r[2], 1.0, index_modulation, math.pi, "return R3->S3"),
-        _single_exposure(s[3], r[3], 1.0, index_modulation, math.pi, "return R4->S4"),
-    )
-    return GratingStack(holograms=holograms, mode_set=modes)
 
 
 def _signed_permutation_entries(unitary: np.ndarray, n: int) -> list[tuple[int, int, complex]]:
@@ -355,28 +338,16 @@ class FeasibilityReport:
     max_dimension: int
 
 
-def _plan_holograms(plan: GratingStack | Hologram) -> tuple[Hologram, ...]:
-    if isinstance(plan, GratingStack):
-        return plan.holograms
-    return (plan,)
-
-
-def feasibility_report(
-    plan: GratingStack | Hologram,
-    material: MaterialSpec,
-    geometry: ConeGeometry,
-    *,
-    volume_q_threshold: float = VOLUME_REGIME_Q,
-) -> FeasibilityReport:
+def feasibility_report(stack: GratingStack, material: MaterialSpec) -> FeasibilityReport:
     """Thickness, Bragg-regime, and selectivity budget for a plan."""
-    holograms = _plan_holograms(plan)
-    recordings = sum(len(h.exposures) for h in holograms)
+    geometry = stack.mode_set.geometry
+    recordings = sum(len(h.exposures) for h in stack.holograms)
     required = recordings * material.meters_per_recording
     per_dimension = geometry.dimension * material.meters_per_recording
 
     smallest_k = math.inf
     modulation_ok = True
-    for hologram in holograms:
+    for hologram in stack.holograms:
         for exposure in hologram.exposures:
             if exposure.index_modulation > material.max_index_modulation:
                 modulation_ok = False
@@ -405,7 +376,7 @@ def feasibility_report(
         required_thickness=required,
         per_dimension_thickness=per_dimension,
         q_ratio=q_ratio,
-        volume_regime=q_ratio >= volume_q_threshold,
+        volume_regime=q_ratio >= VOLUME_REGIME_Q,
         angular_selectivity=selectivity,
         selectivity_ok=selectivity_ok,
         dimension_ok=required <= material.max_total_thickness,

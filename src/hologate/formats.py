@@ -35,12 +35,15 @@ class FileFormatError(HologateError, ValueError):
 
 
 def dump_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_json(path: str | Path) -> dict:
+    def reject(token: str) -> float:
+        raise FileFormatError(f"{path}: non-standard JSON number {token}")
+
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -52,6 +55,13 @@ def _require(payload: dict, key: str, context: str) -> Any:
     if key not in payload:
         raise FileFormatError(f"{context}: missing required field {key!r}")
     return payload[key]
+
+
+def _integer(payload: dict, key: str, context: str) -> int:
+    value = _require(payload, key, context)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{context}: field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 # -- geometry and material ---------------------------------------------------
@@ -70,7 +80,7 @@ def geometry_to_dict(geometry: ConeGeometry) -> dict:
 
 def geometry_from_dict(payload: dict) -> ConeGeometry:
     return ConeGeometry(
-        dimension=int(_require(payload, "n", "geometry")),
+        dimension=_integer(payload, "n", "geometry"),
         signal_half_angle=float(_require(payload, "theta_s_rad", "geometry")),
         reference_half_angle=float(_require(payload, "theta_r_rad", "geometry")),
         wavelength=float(_require(payload, "lambda_m", "geometry")),
@@ -109,11 +119,11 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
-    dim = int(_require(payload, "dim", "matrix"))
+    dim = _integer(payload, "dim", "matrix")
     entries = _require(payload, "entries", "matrix")
     if len(entries) != dim * dim:
         raise FileFormatError(f"matrix: expected {dim * dim} entries, got {len(entries)}")
-    values = [complex(re, im) for re, im in entries]
+    values = [complex(float(re), float(im)) for re, im in entries]
     return np.array(values, dtype=complex).reshape(dim, dim)
 
 
@@ -156,19 +166,19 @@ def _gate_from_dict(payload: dict) -> Gate:
 
 
 def circuit_from_dict(payload: dict) -> QuantumCircuit:
-    width = int(_require(payload, "width", "circuit"))
+    width = _integer(payload, "width", "circuit")
     elements: list = []
     for entry in _require(payload, "elements", "circuit"):
         kind = _require(entry, "kind", "circuit element")
         if kind == "gate":
             elements.append(_gate_from_dict(entry))
         elif kind == "measure":
-            elements.append(Measurement(int(_require(entry, "wire", "measure"))))
+            elements.append(Measurement(_integer(entry, "wire", "measure")))
         elif kind == "cgate":
             elements.append(
                 ClassicallyControlledGate(
                     gate=_gate_from_dict(_require(entry, "gate", "cgate")),
-                    source_wire=int(_require(entry, "source_wire", "cgate")),
+                    source_wire=_integer(entry, "source_wire", "cgate"),
                 )
             )
         else:
@@ -184,7 +194,7 @@ def _mode_key(mode: PlaneWaveMode) -> dict:
 
 def _mode_from_key(payload: dict, modes: ModeSet) -> PlaneWaveMode:
     role = Role(str(_require(payload, "role", "mode")))
-    return modes.find(role, int(_require(payload, "index", "mode")))
+    return modes.find(role, _integer(payload, "index", "mode"))
 
 
 def plan_to_dict(stack: GratingStack) -> dict:

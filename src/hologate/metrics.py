@@ -33,12 +33,16 @@ def process_fidelity(
     Equals 1 exactly when V = exp(i phi) U; the reported
     `max_elementwise_error` is measured after removing that phase.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"fidelity threshold must lie in [0, 1], got {threshold}")
     target = np.asarray(target, dtype=complex)
     realized = np.asarray(realized, dtype=complex)
     if target.shape != realized.shape or target.ndim != 2 or target.shape[0] != target.shape[1]:
         raise DimensionMismatch(
             f"matrices must be square and equal-sized, got {target.shape} and {realized.shape}"
         )
+    if not (np.isfinite(target).all() and np.isfinite(realized).all()):
+        raise ValueError("target and realized matrices must be finite")
     n = target.shape[0]
     overlap = complex(np.trace(target.conj().T @ realized))
     fidelity = abs(overlap) / n

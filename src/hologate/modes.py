@@ -99,6 +99,9 @@ class ConeGeometry:
             raise InvalidGeometry(
                 f"aperture breadth must be positive and finite, got {self.aperture_breadth}"
             )
+        for name in ("signal_azimuth_offset", "reference_azimuth_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidGeometry(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def wavenumber(self) -> float:

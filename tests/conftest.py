@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def strict_json(path):
+    """Parse a JSON file, failing on the non-standard NaN/Infinity tokens."""
+
+    def reject(token):
+        raise AssertionError(f"{path} holds the non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hologate.circuit import (
+    CNOT_MATRIX,
     Gate,
     GateKind,
     PAULI_X,
@@ -36,9 +37,9 @@ from hologate.compiler import (
     Exposure,
     GratingStack,
     Hologram,
-    compile_cnot_stack,
     compile_multiplex,
     compile_redirection,
+    compile_signed_permutation_stack,
     feasibility_report,
 )
 from hologate.metrics import diffraction_efficiency, process_fidelity, realized_unitary
@@ -132,7 +133,7 @@ def test_criterion_2_compiler_golden_recordings():
 def test_criterion_3_cnot_stack_end_to_end(material):
     with criterion(3, "four-grating CNOT stack"):
         modes = make_cone_basis(geometry(4))
-        stack = tune_stack(compile_cnot_stack(modes), material)
+        stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes), material)
         result = simulate_stack(stack, material, "ideal")
         block = realized_unitary(result, modes, Role.SIGNAL)
         assert process_fidelity(CNOT_4, block).fidelity >= 1 - 1e-9
@@ -254,7 +255,7 @@ def test_criterion_8_feasibility_numbers(material):
         geom = geometry(8)
         modes = make_cone_basis(geom)
         plan = compile_multiplex(QT_MATRIX, modes)
-        report = feasibility_report(plan, material, geom)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes), material)
         assert report.recordings == 8
         assert report.required_thickness == pytest.approx(8e-3, rel=1e-12)
         assert material.max_total_thickness == pytest.approx(25e-3)

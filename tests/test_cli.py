@@ -11,7 +11,7 @@ from hologate.circuit import CNOT_MATRIX
 from hologate.cli import main
 from hologate.formats import dump_json, load_json, matrix_to_dict
 
-from conftest import haar_unitary
+from conftest import haar_unitary, strict_json
 
 
 @pytest.fixture()
@@ -263,8 +263,9 @@ class TestNonFiniteInput:
     ])
     def test_non_finite_thickness_exits_2(self, tmp_path, plan, capsys, thickness, command):
         payload = load_json(plan)
-        payload["holograms"][0]["thickness_m"] = thickness
-        plan.write_text(json.dumps(payload))  # writes the non-standard Infinity/NaN tokens
+        # A JSON string: the loader rejects the non-standard Infinity/NaN tokens.
+        payload["holograms"][0]["thickness_m"] = str(thickness)
+        plan.write_text(json.dumps(payload))
         capsys.readouterr()
         argv = command + ["--plan", str(plan), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
@@ -310,7 +311,7 @@ class TestNonFiniteInput:
         flags = [f"--delta-n={value}"] if name is None else []
         if name is not None:
             payload = load_json(cfg / name)
-            payload[key] = [[value, value]] * 4 if key == "entries" else value
+            payload[key] = [[str(value), str(value)]] * 4 if key == "entries" else str(value)
             (cfg / name).write_text(json.dumps(payload))
         capsys.readouterr()
         out = tmp_path / "plan.json"
@@ -333,7 +334,7 @@ class TestNonFiniteInput:
     def test_non_finite_material_exits_2(self, tmp_path, plan, capsys, key, field, value):
         material = tmp_path / "cfg" / "material.json"
         payload = load_json(material)
-        payload[key] = value
+        payload[key] = str(value)
         material.write_text(json.dumps(payload))
         capsys.readouterr()
         out = tmp_path / "out.json"
@@ -378,3 +379,116 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+class TestThresholdBounds:
+    """A fidelity threshold outside [0, 1] exits 2 before any file is written."""
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["verify", "cnot-demo", "teleport-demo"])
+    def test_non_finite_threshold_exits_2(self, tmp_path, config_dir, capsys, command, threshold):
+        out = tmp_path / "out"
+        if command == "verify":
+            target = tmp_path / "u.json"
+            write_matrix(target, haar_unitary(8, np.random.default_rng(4)))
+            plan = tmp_path / "plan.json"
+            assert main(["compile", "--unitary", str(target), "--geometry",
+                         str(config_dir / "geometry.json"), "--out", str(plan)]) == 0
+            argv = ["verify", "--plan", str(plan), "--target", str(target), "--out", str(out)]
+        else:
+            argv = [command, "--out-dir", str(out)]
+        capsys.readouterr()
+        assert main(argv + [f"--threshold={threshold}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"threshold must lie in [0, 1], got {threshold}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestEmptyPlan:
+    """The identity compiles to a stack with no holograms; verify and feasibility accept it."""
+
+    @pytest.fixture()
+    def empty_plan(self, tmp_path, config_dir):
+        identity, plan = tmp_path / "identity.json", tmp_path / "empty.json"
+        write_matrix(identity, np.eye(8))
+        assert main(["compile", "--unitary", str(identity), "--geometry",
+                     str(config_dir / "geometry.json"), "--layout", "stacked",
+                     "--out", str(plan)]) == 0
+        assert load_json(plan)["holograms"] == []
+        return plan, identity
+
+    def test_verify_against_identity_passes(self, empty_plan, capsys):
+        plan, identity = empty_plan
+        assert main(["verify", "--plan", str(plan), "--target", str(identity)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_verify_against_permutation_fails(self, tmp_path, empty_plan):
+        plan, _ = empty_plan
+        swap = tmp_path / "swap.json"
+        write_matrix(swap, np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]])
+        assert main(["verify", "--plan", str(plan), "--target", str(swap)]) == 3
+
+    def test_feasibility_writes_null_selectivity(self, tmp_path, config_dir, empty_plan, capsys):
+        plan, _ = empty_plan
+        out = tmp_path / "feas.json"
+        capsys.readouterr()
+        assert main(["feasibility", "--plan", str(plan), "--material",
+                     str(config_dir / "material.json"), "--out", str(out)]) == 0
+        assert "angular_selectivity_rad: inf" in capsys.readouterr().out
+        payload = strict_json(out)
+        assert payload["angular_selectivity_rad"] is None
+        assert payload["recordings"] == 0
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_tokens_exit_2(self, tmp_path, config_dir, capsys, token):
+        geometry = config_dir / "geometry.json"
+        geometry.write_text(
+            geometry.read_text().replace('"lambda_m": 6.33e-07', f'"lambda_m": {token}')
+        )
+        target = tmp_path / "u.json"
+        write_matrix(target, np.eye(8))
+        capsys.readouterr()
+        out = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target), "--geometry", str(geometry),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(geometry) in err
+        assert f"non-standard JSON number {token}" in err
+        assert not out.exists()
+
+    def test_dump_refuses_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            dump_json({"x": math.nan}, tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_every_written_file_is_strict_json(self, tmp_path, config_dir):
+        cfg = str(config_dir)
+        target = tmp_path / "u.json"
+        write_matrix(target, CNOT_MATRIX)
+        small = tmp_path / "small"
+        assert main(["init", "--dimension", "4", "--out-dir", str(small)]) == 0
+        runs = []
+        for layout in ("multiplex", "stacked"):
+            plan = tmp_path / f"{layout}.json"
+            runs += [
+                ["compile", "--unitary", str(target), "--geometry",
+                 str(small / "geometry.json"), "--layout", layout, "--out", str(plan)],
+                ["simulate", "--plan", str(plan), "--out", str(tmp_path / f"{layout}-r.json")],
+                ["simulate", "--plan", str(plan), "--mode", "detuned", "--crosstalk",
+                 "--out", str(tmp_path / f"{layout}-d.json")],
+                ["verify", "--plan", str(plan), "--target", str(target),
+                 "--out", str(tmp_path / f"{layout}-v.json")],
+                ["feasibility", "--plan", str(plan), "--material", f"{cfg}/material.json",
+                 "--out", str(tmp_path / f"{layout}-f.json")],
+            ]
+        runs += [[demo, "--out-dir", str(tmp_path / demo)]
+                 for demo in ("cnot-demo", "teleport-demo")]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        written = sorted(tmp_path.rglob("*.json"))
+        assert len(written) == 21
+        for path in written:
+            strict_json(path)

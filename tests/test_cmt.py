@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import hologate.cmt as cmt
-from hologate.circuit import TELEPORT_UNITARY_UNCONDITIONAL_Z
+from hologate.circuit import CNOT_MATRIX, TELEPORT_UNITARY_UNCONDITIONAL_Z
 from hologate.cmt import (
     CouplingSystem,
     build_coupling,
@@ -24,6 +24,7 @@ from hologate.compiler import (
     Hologram,
     compile_multiplex,
     compile_redirection,
+    compile_signed_permutation_stack,
 )
 from hologate.errors import NonuniformCoupling, StepUnderflow, UnknownMode
 from hologate.metrics import process_fidelity
@@ -331,6 +332,13 @@ class TestDetunedTransfer:
         with pytest.raises(ValueError):
             detuned_transfer(system, 0.0)
 
+    @pytest.mark.parametrize("thickness", [math.nan, math.inf])
+    @pytest.mark.parametrize("transfer", [ideal_transfer, detuned_transfer])
+    def test_rejects_non_finite_thickness(self, modes2, material, transfer, thickness):
+        system = build_coupling(single_grating(modes2), modes2, material)
+        with pytest.raises(ValueError, match="thickness must be positive and finite"):
+            transfer(system, thickness)
+
     def test_synthetic_system_accepts_tilt(self):
         # No build stands behind this system; a tilt moves the tilted mode's
         # k_z alone, so xi_01 shifts by k (cos(theta + tilt) - cos(theta)).
@@ -428,14 +436,13 @@ class TestExactRoute:
     def test_tilted_teleport_and_cnot_slabs_match_integrator(
         self, modes4, modes8, material, monkeypatch, tilt, tilt_mode
     ):
-        from hologate.compiler import compile_cnot_stack
-
         integrate = cmt._integrate
         monkeypatch.setattr(cmt, "_integrate", refuse_integration)
         slabs = [(compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8), modes8, False)]
-        slabs += [(h, modes4, False) for h in compile_cnot_stack(modes4).holograms]
+        cnot = compile_signed_permutation_stack(CNOT_MATRIX, modes4)
+        slabs += [(h, modes4, False) for h in cnot.holograms]
         # The CNOT gratings' parasitic fringes also come from a potential.
-        slabs.append((compile_cnot_stack(modes4).holograms[0], modes4, True))
+        slabs.append((cnot.holograms[0], modes4, True))
         for hologram, modes, crosstalk in slabs:
             system = build_coupling(hologram, modes, material)
             d = optimal_thickness(system)
@@ -562,7 +569,10 @@ class TestTuneStack:
 
 class TestSelectivitySweep:
     def test_row_contract(self, modes2, material):
-        rows = selectivity_sweep(single_grating(modes2), modes2, material, 2e-3, 11)
+        rows = selectivity_sweep(
+            GratingStack(holograms=(single_grating(modes2),), mode_set=modes2),
+            material, 2e-3, 11,
+        )
         assert len(rows) == 11
         tilts = [t for t, _ in rows]
         assert tilts == sorted(tilts)
@@ -571,7 +581,10 @@ class TestSelectivitySweep:
         assert rows[0][0] == 0.0
 
     def test_zero_tilt_matches_tuned_value(self, modes2, material):
-        rows = selectivity_sweep(single_grating(modes2), modes2, material, 1e-3, 5)
+        rows = selectivity_sweep(
+            GratingStack(holograms=(single_grating(modes2),), mode_set=modes2),
+            material, 1e-3, 5,
+        )
         assert rows[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_main_lobe_monotone_to_first_null(self, modes2, material):
@@ -582,7 +595,10 @@ class TestSelectivitySweep:
         predicted_null = math.sqrt(3) * math.pi / (
             d * geometry.wavenumber * math.sin(geometry.signal_half_angle)
         )
-        rows = selectivity_sweep(hologram, modes2, material, predicted_null, 41)
+        rows = selectivity_sweep(
+            GratingStack(holograms=(hologram,), mode_set=modes2),
+            material, predicted_null, 41,
+        )
         efficiencies = np.array([e for _, e in rows])
         null_index = int(np.argmin(efficiencies))
         lobe = efficiencies[: null_index + 1]
@@ -600,7 +616,10 @@ class TestSelectivitySweep:
             predicted = math.sqrt(3) * math.pi / (
                 d * geometry.wavenumber * math.sin(geometry.signal_half_angle)
             )
-            rows = selectivity_sweep(hologram, modes2, material, 1.25 * predicted, 81)
+            rows = selectivity_sweep(
+                GratingStack(holograms=(hologram,), mode_set=modes2),
+                material, 1.25 * predicted, 81,
+            )
             efficiencies = np.array([e for _, e in rows])
             return rows[int(np.argmin(efficiencies))][0]
 
@@ -611,4 +630,7 @@ class TestSelectivitySweep:
 
     def test_needs_two_samples(self, modes2, material):
         with pytest.raises(ValueError):
-            selectivity_sweep(single_grating(modes2), modes2, material, 1e-3, 1)
+            selectivity_sweep(
+                GratingStack(holograms=(single_grating(modes2),), mode_set=modes2),
+                material, 1e-3, 1,
+            )

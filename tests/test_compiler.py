@@ -11,7 +11,6 @@ from hologate.compiler import (
     GratingStack,
     Hologram,
     MaterialSpec,
-    compile_cnot_stack,
     compile_multiplex,
     compile_redirection,
     compile_signed_permutation_stack,
@@ -132,7 +131,7 @@ class TestCompileRedirection:
 
 class TestCompileCnotStack:
     def test_grating_order_and_couplings(self, modes4):
-        stack = compile_cnot_stack(modes4)
+        stack = compile_signed_permutation_stack(CNOT_MATRIX, modes4)
         couplings = []
         for hologram in stack.holograms:
             (exposure,) = hologram.exposures
@@ -149,7 +148,7 @@ class TestCompileCnotStack:
         ]
 
     def test_first_grating_acts_as_single_redirector(self, modes4, material):
-        stack = tune_stack(compile_cnot_stack(modes4), material)
+        stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes4), material)
         only_first = GratingStack(holograms=stack.holograms[:1], mode_set=modes4)
         transfer = simulate_stack(only_first, material, "ideal").transfer
         # |S1><S1| + |S2><S2| + |R4><S3| + |S4><S4| up to the diffraction phase.
@@ -159,32 +158,22 @@ class TestCompileCnotStack:
         assert abs(transfer[2, 2]) < 1e-12
 
     def test_stack_realizes_cnot(self, modes4, material):
-        stack = tune_stack(compile_cnot_stack(modes4), material)
+        stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes4), material)
         block = simulate_stack(stack, material, "ideal").transfer[:4, :4]
         assert np.abs(block - CNOT_MATRIX).max() < 1e-9
 
     def test_first_two_signals_pass_undiffracted(self, modes4, material):
-        stack = tune_stack(compile_cnot_stack(modes4), material)
+        stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes4), material)
         transfer = simulate_stack(stack, material, "ideal").transfer
         assert abs(transfer[0, 0] - 1.0) < 1e-12
         assert abs(transfer[1, 1] - 1.0) < 1e-12
 
     def test_needs_dimension_four(self, modes8):
         with pytest.raises(DimensionMismatch):
-            compile_cnot_stack(modes8)
+            compile_signed_permutation_stack(CNOT_MATRIX, modes8)
 
 
 class TestCompileSignedPermutationStack:
-    def test_cnot_matches_dedicated_stack(self, modes4):
-        generic = compile_signed_permutation_stack(CNOT_MATRIX, modes4)
-        dedicated = compile_cnot_stack(modes4)
-        assert len(generic.holograms) == len(dedicated.holograms)
-        for g, d in zip(generic.holograms, dedicated.holograms):
-            (ge,), (de,) = g.exposures, d.exposures
-            assert ge.partner == de.partner
-            assert ge.coefficients == de.coefficients
-            assert ge.phase == de.phase
-
     def test_identity_gives_empty_stack(self, modes4):
         stack = compile_signed_permutation_stack(np.eye(4), modes4)
         assert stack.holograms == ()
@@ -237,6 +226,20 @@ class TestPlanInvariants:
         with pytest.raises(ValueError):
             Exposure(partner=modes2.references[0], coefficients={modes2.signals[0]: 0.5})
 
+    @pytest.mark.parametrize("coefficient", [math.nan, complex(math.inf, 0.0), 1e308])
+    def test_exposure_rejects_non_finite_coefficients(self, modes2, coefficient):
+        with pytest.raises(ValueError, match="superposition norm"):
+            Exposure(partner=modes2.references[0], coefficients={modes2.signals[0]: coefficient})
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_exposure_rejects_non_finite_phase(self, modes2, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            Exposure(
+                partner=modes2.references[0],
+                coefficients={modes2.signals[0]: 1.0},
+                phase=phase,
+            )
+
     def test_exposure_rejects_partner_in_superposition(self, modes2):
         with pytest.raises(ValueError):
             Exposure(
@@ -276,34 +279,34 @@ class TestPlanInvariants:
 
 
 class TestFeasibilityReport:
-    def test_eight_recording_thickness(self, modes8, material, geom8):
+    def test_eight_recording_thickness(self, modes8, material):
         plan = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
-        report = feasibility_report(plan, material, geom8)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes8), material)
         assert report.recordings == 8
         assert report.required_thickness == pytest.approx(8e-3)
         assert report.per_dimension_thickness == pytest.approx(8e-3)
         assert report.dimension_ok
 
-    def test_max_dimension_under_centimeter_budget(self, modes8, material, geom8):
+    def test_max_dimension_under_centimeter_budget(self, modes8, material):
         plan = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
-        report = feasibility_report(plan, material, geom8)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes8), material)
         assert 10 <= report.max_dimension <= 20
         assert report.max_dimension == 12
 
-    def test_additive_over_stack_concatenation(self, modes4, material, geom4):
-        stack = compile_cnot_stack(modes4)
+    def test_additive_over_stack_concatenation(self, modes4, material):
+        stack = compile_signed_permutation_stack(CNOT_MATRIX, modes4)
         partial = GratingStack(holograms=stack.holograms[:2], mode_set=modes4)
         rest = GratingStack(holograms=stack.holograms[2:], mode_set=modes4)
-        whole = feasibility_report(stack, material, geom4).required_thickness
+        whole = feasibility_report(stack, material).required_thickness
         split = (
-            feasibility_report(partial, material, geom4).required_thickness
-            + feasibility_report(rest, material, geom4).required_thickness
+            feasibility_report(partial, material).required_thickness
+            + feasibility_report(rest, material).required_thickness
         )
         assert whole == pytest.approx(split)
 
     def test_q_ratio_volume_regime(self, modes8, material, geom8):
         plan = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
-        report = feasibility_report(plan, material, geom8)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes8), material)
         # Independent check of the largest grating period among exposures.
         from hologate.modes import wave_vector
 
@@ -319,10 +322,10 @@ class TestFeasibilityReport:
         assert report.q_ratio >= 10.0
         assert report.volume_regime
 
-    def test_dimension_limit_enforced(self, modes8, geom8):
+    def test_dimension_limit_enforced(self, modes8):
         thin = MaterialSpec(max_total_thickness=5e-3, max_index_modulation=1e-3)
         plan = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
-        report = feasibility_report(plan, thin, geom8)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes8), thin)
         assert not report.dimension_ok
 
     def test_centimeter_budget_covers_mid_teens_dimensions(self, material):
@@ -331,12 +334,12 @@ class TestFeasibilityReport:
         geo = geometry(16)
         modes = make_cone_basis(geo)
         plan = compile_multiplex(haar_unitary(16, rng), modes)
-        report = feasibility_report(plan, material, geo)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes), material)
         assert report.required_thickness == pytest.approx(16e-3)
         assert report.dimension_ok
 
     def test_selectivity_resolves_cone_spacing(self, modes8, material, geom8):
         plan = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
-        report = feasibility_report(plan, material, geom8)
+        report = feasibility_report(GratingStack(holograms=(plan,), mode_set=modes8), material)
         assert report.selectivity_ok
         assert report.angular_selectivity < geom8.azimuthal_spacing

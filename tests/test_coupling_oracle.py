@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import hologate.cmt as cmt
-from hologate.circuit import TELEPORT_UNITARY_UNCONDITIONAL_Z
+from hologate.circuit import CNOT_MATRIX, TELEPORT_UNITARY_UNCONDITIONAL_Z
 from hologate.cmt import (
     CouplingSystem,
     _pair_strength,
@@ -28,9 +28,9 @@ from hologate.cmt import (
     optimal_thickness,
 )
 from hologate.compiler import (
-    compile_cnot_stack,
     compile_multiplex,
     compile_redirection,
+    compile_signed_permutation_stack,
 )
 from hologate.errors import UnknownMode
 from hologate.modes import TWO_PI, make_cone_basis, wave_vector
@@ -200,7 +200,7 @@ def _plans():
         ("haar-4", compile_multiplex(haar_unitary(4, rng), modes4), modes4, {"drops": 16}),
         ("haar-8", compile_multiplex(haar_unitary(8, rng), modes8), modes8, {"drops": 64}),
     ]
-    for k, grating in enumerate(compile_cnot_stack(modes4).holograms):
+    for k, grating in enumerate(compile_signed_permutation_stack(CNOT_MATRIX, modes4).holograms):
         plans.append((f"cnot-grating-{k}", grating, modes4, {}))
     return plans
 

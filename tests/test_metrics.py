@@ -70,6 +70,15 @@ class TestProcessFidelity:
         with pytest.raises(DimensionMismatch):
             process_fidelity(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1e-9, 1.0 + 1e-9])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            process_fidelity(np.eye(2), np.eye(2), threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds_accepted(self, threshold):
+        assert process_fidelity(np.eye(2), np.eye(2), threshold=threshold).passed
+
 
 class TestDiffractionEfficiency:
     def test_tuned_pair(self, modes2, material):

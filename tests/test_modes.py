@@ -81,6 +81,12 @@ class TestConeBasis:
         with pytest.raises(InvalidGeometry):
             make_cone_basis(ConeGeometry(**base))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["signal_azimuth_offset", "reference_azimuth_offset"])
+    def test_non_finite_azimuth_offset_rejected(self, field, value):
+        with pytest.raises(InvalidGeometry, match=f"{field} must be finite"):
+            ConeGeometry(4, 0.08, 0.16, 6.33e-7, 5e-3, **{field: value})
+
     def test_universe_order(self):
         modes = make_cone_basis(geometry(3))
         assert modes.universe == modes.signals + modes.references
