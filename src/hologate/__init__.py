@@ -30,7 +30,6 @@ from .cmt import (
     TransferResult,
     build_coupling,
     detuned_transfer,
-    ideal_transfer,
     optimal_thickness,
     selectivity_sweep,
     simulate_stack,

@@ -74,8 +74,10 @@ class Gate:
                 raise DimensionMismatch(
                     f"payload shape {payload.shape} does not fit {n_targets} target wire(s)"
                 )
-            err = np.abs(payload.conj().T @ payload - np.eye(payload.shape[0])).max()
-            if err > _UNITARY_ATOL:
+            # Huge or non-finite entries give an inf or NaN deviation, rejected below.
+            with np.errstate(invalid="ignore", over="ignore"):
+                err = np.abs(payload.conj().T @ payload - np.eye(payload.shape[0])).max()
+            if not err <= _UNITARY_ATOL:
                 raise MalformedCircuit(f"payload is not unitary (max deviation {err:.2e})")
             object.__setattr__(self, "payload", payload)
         else:

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a plan and write the transfer result")
     p_sim.add_argument("--plan", required=True)
     p_sim.add_argument("--material", help="material JSON file (modulation ceiling check)")
-    p_sim.add_argument("--mode", choices=("ideal", "detuned"), default="ideal")
+    p_sim.add_argument("--mode", choices=("ideal", "detuned"), default="ideal",
+                       help="ideal: detuned without --crosstalk (which it ignores)")
     p_sim.add_argument("--crosstalk", action="store_true")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
@@ -170,7 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     material = _load_material(args.material)
     stack = cmt.tune_stack(stack, material)
     result = cmt.simulate_stack(
-        stack, material, args.mode, include_crosstalk=args.crosstalk
+        stack, material, include_crosstalk=args.mode == "detuned" and args.crosstalk
     )
     formats.dump_json(formats.result_to_dict(result), args.out)
     print(f"simulated {len(stack.holograms)} hologram(s); wrote {args.out}")
@@ -186,9 +187,10 @@ def _output_space(stack: compiler.GratingStack) -> Role:
 def cmd_verify(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     target = formats.matrix_from_dict(formats.load_json(args.target))
+    target = compiler._as_unitary(target, stack.mode_set.dimension)
     material = _load_material(args.material)
     stack = cmt.tune_stack(stack, material)
-    result = cmt.simulate_stack(stack, material, "ideal")
+    result = cmt.simulate_stack(stack, material)
     realized = metrics.realized_unitary(result, stack.mode_set, _output_space(stack))
     report = metrics.process_fidelity(target, realized, threshold=args.threshold)
     if args.out:
@@ -260,7 +262,7 @@ def _run_demo(
     extra_report: dict,
 ) -> int:
     stack = cmt.tune_stack(stack, material)
-    result = cmt.simulate_stack(stack, material, "ideal")
+    result = cmt.simulate_stack(stack, material)
     realized = metrics.realized_unitary(result, stack.mode_set, Role.SIGNAL)
     report = metrics.process_fidelity(target, realized, threshold=args.threshold)
     feas = compiler.feasibility_report(stack, material)
@@ -308,7 +310,7 @@ def cmd_teleport_demo(args: argparse.Namespace) -> int:
     bare = cmt.tune_stack(
         compiler.GratingStack(holograms=(multiplexed,), mode_set=modes), material
     )
-    bare_result = cmt.simulate_stack(bare, material, "ideal")
+    bare_result = cmt.simulate_stack(bare, material)
     bare_block = metrics.realized_unitary(bare_result, modes, Role.REFERENCE)
     bare_report = metrics.process_fidelity(target, bare_block)
 

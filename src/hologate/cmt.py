@@ -27,15 +27,16 @@ detuning is the z component of k_a - k_b - grating, so a tilt is an
 exact per-mode potential: it adds shift_a - shift_b to xi_ab, with
 shift_n the tilted mode's change in k_z.
 
-Detuned slabs take one of two routes, chosen from the couplings alone.
-When the detunings of every coupled pair come from a per-mode potential,
-xi_nm = d_n - d_m (so on recorded fringes, tilted or not, up to
-rounding, since a recorded grating is k_m - k_p), the substitution
-a = exp(i D z) b makes the equations constant-coefficient and the slab
-transfer is exactly
-exp(i D d) expm(i d (K - D)): Kogelnik's closed form taken to N waves,
-one `eigh` per slab.  Otherwise (parasitic fringes whose mismatches no
-potential explains) a fixed-step RK4 integrates the equations.
+Every slab goes through one propagator, `detuned_transfer`, by one of
+two routes chosen from the couplings alone.  When the detunings of every
+coupled pair come from a per-mode potential, xi_nm = d_n - d_m (so on
+recorded fringes, tilted or not, up to rounding, since a recorded grating
+is k_m - k_p), the substitution a = exp(i D z) b makes the equations
+constant-coefficient and the slab transfer is exactly
+exp(i D d) expm(i d (K - D)), or exp(i d K) on a phase-matched slab:
+Kogelnik's closed form taken to N waves, one `eigh` per slab.  Otherwise
+(parasitic fringes whose mismatches no potential explains) a fixed-step
+RK4 integrates the equations.
 
 Free propagation between stacked slabs multiplies each cone by a common
 phase exp(i k_z dz); that per-cone constant is normalized to zero here
@@ -63,6 +64,9 @@ _MAX_STEPS = 20_000_000
 #: radians, for which a slab takes the exact rotating-frame route; RK4 is
 #: only accurate to about this much anyway.
 _POTENTIAL_TOL = 1e-9
+#: Largest Frobenius defect ||T^H T - I|| of a returned slab transfer.  RK4
+#: on crosstalk slabs reaches about 1e-10, the exact route about 1e-14.
+_UNITARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,8 @@ def build_coupling(
     The same fringe also couples any other universe pair whose transverse
     wave-vector difference matches the grating vector to within one
     aperture resolution element (2*pi/D); those parasitic couplings carry
-    the z mismatch as a detuning rate and are only used by the detuned
-    integrator when crosstalk is requested.
+    the z mismatch as a detuning rate and act only when crosstalk is
+    requested.
 
     Parasitic candidates are found per exposure by one numpy broadcast of
     all pairwise transverse differences k_a - k_b against the exposure's
@@ -275,24 +279,7 @@ def optimal_thickness(system: CouplingSystem) -> float:
 def _hermitian_exp(matrix: np.ndarray, thickness: float) -> np.ndarray:
     """expm(i thickness matrix) of a Hermitian matrix, by one eigh."""
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    if not math.isfinite(thickness * float(np.abs(eigenvalues).max(initial=0.0))):
-        raise FloatingPointError(f"slab phase overflows at thickness {thickness}")
     return (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
-
-
-def ideal_transfer(system: CouplingSystem, thickness: float) -> TransferResult:
-    """Transfer exp(i d K) of the phase-matched couplings (crosstalk dropped)."""
-    if not 0.0 < thickness < math.inf:
-        raise ValueError(f"thickness must be positive and finite, got {thickness}")
-    if np.abs(system.xi[system.recorded_mask]).max(initial=0.0) > 0.0:
-        raise ValueError("ideal transfer requires zero detuning on retained couplings")
-    coupling = np.where(system.recorded_mask, system.kappa, 0.0)
-    transfer = _hermitian_exp(coupling, thickness)
-    return TransferResult(
-        transfer=transfer,
-        thickness_used=thickness,
-        modes=system.modes,
-    )
 
 
 def _select_system(
@@ -331,6 +318,8 @@ def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
     coupled = kappa != 0.0
     n = kappa.shape[0]
     potential = np.zeros(n)
+    if not xi.any():
+        return potential, 0.0  # the walk would give the same zeros
     reached = np.zeros(n, dtype=bool)
     for root in range(n):
         if reached[root]:
@@ -351,9 +340,12 @@ def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float) -> int:
     """RK4 steps resolving the coupling beat and the fastest detuning phase.
 
     At least `_MIN_STEPS`, and `_STEPS_PER_CYCLE` per radian-cycle of
-    max|xi| + 2 max|kappa|.  Raises StepUnderflow above `_MAX_STEPS`.
+    max|xi| + 2 max|kappa|.  Raises StepUnderflow above `_MAX_STEPS`, or
+    when thickness times that rate is not finite.
     """
     rate = float(np.abs(xi).max(initial=0.0) + 2.0 * np.abs(kappa).max(initial=0.0))
+    if not math.isfinite(thickness * rate):
+        raise StepUnderflow(f"step bound overflows at thickness {thickness}")
     steps = max(_MIN_STEPS, math.ceil(thickness * rate * _STEPS_PER_CYCLE / TWO_PI))
     if steps > _MAX_STEPS:
         raise StepUnderflow(
@@ -391,9 +383,11 @@ def detuned_transfer(
 ) -> TransferResult:
     """Transfer of the z-dependent coupled equations across the slab.
 
-    `tilt` shifts the polar angle of `tilt_mode` (or of every mode when
-    None); its change in each tilted mode's k_z is added to the detunings
-    as an exact per-mode potential.
+    The one slab propagator.  Only the recorded, phase-matched couplings
+    act unless `include_crosstalk` adds the parasitic ones.  `tilt` shifts
+    the polar angle of `tilt_mode` (or of every mode when None); its change
+    in each tilted mode's k_z is added to the detunings as an exact
+    per-mode potential.
     When a per-mode potential d explains the detunings of every coupled
     pair to within `_POTENTIAL_TOL` radians over the slab (recorded
     fringes always fit one, up to rounding), the transfer is the exact
@@ -401,7 +395,8 @@ def detuned_transfer(
     (kappa - diag(d))) from one eigh.  Otherwise fixed-step RK4 integrates
     the equations.  Either way the RK4 step bound is checked first, so a
     system too stiff to integrate (or whose phases exp(i d_n thickness)
-    would carry no accurate digits) raises StepUnderflow.
+    would carry no accurate digits) raises StepUnderflow, and a transfer
+    whose ||T^H T - I||_F exceeds `_UNITARITY_TOL` raises FloatingPointError.
     """
     if not 0.0 < thickness < math.inf:
         raise ValueError(f"thickness must be positive and finite, got {thickness}")
@@ -414,6 +409,9 @@ def detuned_transfer(
         )
     else:
         transfer = _integrate(kappa, xi, thickness, steps)
+    defect = np.linalg.norm(transfer.conj().T @ transfer - np.eye(len(transfer)))
+    if not defect <= _UNITARITY_TOL:
+        raise FloatingPointError(f"slab transfer is not unitary (Frobenius defect {defect:.2e})")
     return TransferResult(
         transfer=transfer,
         thickness_used=thickness,
@@ -438,21 +436,15 @@ def tune_stack(stack: GratingStack, material: MaterialSpec | None = None) -> Gra
 def simulate_stack(
     stack: GratingStack,
     material: MaterialSpec | None = None,
-    mode: str = "ideal",
     *,
     include_crosstalk: bool = False,
 ) -> TransferResult:
-    """Ordered product of per-hologram transfers.
+    """Ordered product of per-hologram `detuned_transfer`s.
 
     Every hologram must carry a thickness (see `tune_stack`).  Inter-slab
     propagation phases are normalized away as described in the module
-    docstring.  `mode` is "ideal" (matrix exponential of the phase-matched
-    couplings) or "detuned" (`detuned_transfer`, optionally with crosstalk:
-    the exact rotating-frame route where a per-mode potential explains the
-    detunings, RK4 integration otherwise).
+    docstring.  `include_crosstalk` is passed to every slab.
     """
-    if mode not in ("ideal", "detuned"):
-        raise ValueError(f"mode must be 'ideal' or 'detuned', got {mode!r}")
     universe = stack.mode_set.universe
     transfer = np.eye(len(universe), dtype=complex)
     total = 0.0
@@ -462,12 +454,7 @@ def simulate_stack(
                 f"hologram {hologram.label!r} has no thickness; tune the stack first"
             )
         system = build_coupling(hologram, stack.mode_set, material)
-        if mode == "ideal":
-            step = ideal_transfer(system, hologram.thickness)
-        else:
-            step = detuned_transfer(
-                system, hologram.thickness, include_crosstalk=include_crosstalk
-            )
+        step = detuned_transfer(system, hologram.thickness, include_crosstalk=include_crosstalk)
         transfer = step.transfer @ transfer
         total += hologram.thickness
     return TransferResult(
@@ -509,7 +496,7 @@ def selectivity_sweep(
 
     modes = stack.mode_set
     holograms = tune_stack(stack, material).holograms
-    if not holograms or not holograms[0].exposures:
+    if not holograms:
         raise ValueError("cannot sweep an empty plan")
     source_mode = _dominant_input(holograms[0], modes)
     in_pos = modes.position(source_mode)

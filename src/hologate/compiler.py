@@ -102,6 +102,8 @@ class Hologram:
 
     def __post_init__(self):
         object.__setattr__(self, "exposures", tuple(self.exposures))
+        if not self.exposures:
+            raise ValueError(f"hologram {self.label!r} has an empty exposure list")
         partners = [e.partner for e in self.exposures]
         if len(set(partners)) != len(partners):
             raise ValueError("exposures within one hologram need distinct partner waves")

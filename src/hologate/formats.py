@@ -57,9 +57,13 @@ def _require(payload: dict, key: str, context: str) -> Any:
     return payload[key]
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(payload: dict, key: str, context: str) -> int:
     value = _require(payload, key, context)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise FileFormatError(f"{context}: field {key!r} must be an integer, got {value!r}")
     return value
 
@@ -160,9 +164,11 @@ def _gate_from_dict(payload: dict) -> Gate:
         kind = GateKind(name)
     except ValueError:
         raise FileFormatError(f"gate: unknown gate name {name!r}") from None
-    wires = tuple(int(w) for w in _require(payload, "wires", "gate"))
+    wires = _require(payload, "wires", "gate")
+    if not isinstance(wires, list) or not all(_is_integer(w) for w in wires):
+        raise FileFormatError(f"gate: field 'wires' must be a list of integers, got {wires!r}")
     matrix = payload.get("matrix")
-    return Gate(kind, wires, matrix_from_dict(matrix) if matrix is not None else None)
+    return Gate(kind, tuple(wires), matrix_from_dict(matrix) if matrix is not None else None)
 
 
 def circuit_from_dict(payload: dict) -> QuantumCircuit:

@@ -28,7 +28,6 @@ from hologate.cmt import (
     CouplingSystem,
     build_coupling,
     detuned_transfer,
-    ideal_transfer,
     optimal_thickness,
     simulate_stack,
     tune_stack,
@@ -134,7 +133,7 @@ def test_criterion_3_cnot_stack_end_to_end(material):
     with criterion(3, "four-grating CNOT stack"):
         modes = make_cone_basis(geometry(4))
         stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes), material)
-        result = simulate_stack(stack, material, "ideal")
+        result = simulate_stack(stack, material)
         block = realized_unitary(result, modes, Role.SIGNAL)
         assert process_fidelity(CNOT_4, block).fidelity >= 1 - 1e-9
 
@@ -147,7 +146,7 @@ def test_criterion_4_teleport_stack_end_to_end(material):
         bare = tune_stack(
             GratingStack(holograms=(multiplexed,), mode_set=modes), material
         )
-        bare_result = simulate_stack(bare, material, "ideal")
+        bare_result = simulate_stack(bare, material)
         reference_block = realized_unitary(bare_result, modes, Role.REFERENCE)
         signal_block = realized_unitary(bare_result, modes, Role.SIGNAL)
         # The bare element sends every signal onto the reference cone.
@@ -160,7 +159,7 @@ def test_criterion_4_teleport_stack_end_to_end(material):
             ),
             material,
         )
-        full = simulate_stack(stack, material, "ideal")
+        full = simulate_stack(stack, material)
         block = realized_unitary(full, modes, Role.SIGNAL)
         assert process_fidelity(QT_MATRIX, block).fidelity >= 1 - 1e-9
 
@@ -196,11 +195,11 @@ def test_criterion_6_efficiency_physics(material):
         )
         system = build_coupling(hologram, modes, material)
         d = optimal_thickness(system)
-        tuned = ideal_transfer(system, d)
+        tuned = detuned_transfer(system, d)
         assert abs(
             diffraction_efficiency(tuned, modes.signals[0], modes.references[0]) - 1.0
         ) < 1e-9
-        half = ideal_transfer(system, d / 2.0)
+        half = detuned_transfer(system, d / 2.0)
         assert abs(
             diffraction_efficiency(half, modes.signals[0], modes.references[0]) - 0.5
         ) < 1e-9
@@ -243,7 +242,7 @@ def test_criterion_7_random_unitary_round_trip(material):
                 ),
                 material,
             )
-            result = simulate_stack(stack, material, "ideal")
+            result = simulate_stack(stack, material)
             norms = np.linalg.norm(result.transfer, axis=0)
             assert np.abs(norms - 1.0).max() < 1e-8  # energy conservation
             block = realized_unitary(result, modes, Role.SIGNAL)

@@ -4,7 +4,8 @@ run or fail with a clean exit code, never raise out of `main`.
 
 Non-finite values (NaN, +-inf, and the strings "nan" and "inf", which
 `float()` accepts) must exit 2 with an `error:` line.  Whatever a command
-writes must be strict JSON, without the non-standard NaN/Infinity tokens.
+writes must be strict JSON, without the non-standard NaN/Infinity tokens,
+or a CSV of finite numbers.
 """
 
 import contextlib
@@ -27,6 +28,21 @@ NON_FINITE = [math.nan, math.inf, -math.inf, "nan", "inf"]
 EXTREME = [0, -1, 1e308, 5e-324]
 
 
+#: Two wires (N = 4), with a measurement, a classically controlled gate
+#: and a controlled-U whose payload matrix is fuzzed too.
+CIRCUIT = {
+    "width": 2,
+    "elements": [
+        {"kind": "gate", "name": "cu", "wires": [1, 2],
+         "matrix": formats.matrix_to_dict(qc.HADAMARD)},
+        {"kind": "gate", "name": "cnot", "wires": [2, 1]},
+        {"kind": "measure", "wire": 1},
+        {"kind": "cgate", "source_wire": 1,
+         "gate": {"kind": "gate", "name": "x", "wires": [2]}},
+    ],
+}
+
+
 def _base_files() -> dict:
     geometry = samples.sample_geometry(2)
     modes = make_cone_basis(geometry)
@@ -39,6 +55,8 @@ def _base_files() -> dict:
     )
     return {
         "geometry": formats.geometry_to_dict(geometry),
+        "geometry4": formats.geometry_to_dict(samples.sample_geometry(4)),
+        "circuit": CIRCUIT,
         "material": formats.material_to_dict(samples.sample_material()),
         "matrix": formats.matrix_to_dict(qc.HADAMARD),
         # Tuned, so that the plan's thickness fields are numbers too.
@@ -52,8 +70,17 @@ BASE = _base_files()
 COMMANDS = {
     "compile": (["compile", "--unitary", "{matrix}", "--geometry", "{geometry}",
                  "--out", "{out}/plan.json"], ("matrix", "geometry")),
+    "compile-circuit": (["compile", "--circuit", "{circuit}", "--geometry", "{geometry4}",
+                         "--out", "{out}/plan.json"], ("circuit", "geometry4")),
     "simulate": (["simulate", "--mode", "ideal", "--plan", "{plan}", "--material",
                   "{material}", "--out", "{out}/result.json"], ("plan", "material")),
+    "simulate-detuned": (["simulate", "--mode", "detuned", "--plan", "{plan}", "--material",
+                          "{material}", "--out", "{out}/result.json"], ("plan", "material")),
+    "simulate-crosstalk": (["simulate", "--mode", "detuned", "--crosstalk", "--plan", "{plan}",
+                            "--material", "{material}", "--out", "{out}/result.json"],
+                           ("plan", "material")),
+    "sweep": (["sweep", "--plan", "{plan}", "--material", "{material}", "--tilt-range",
+               "0.001", "--samples", "2", "--out", "{out}/sweep.csv"], ("plan", "material")),
     "verify": (["verify", "--plan", "{plan}", "--target", "{matrix}", "--material",
                 "{material}", "--out", "{out}/report.json"], ("plan", "matrix", "material")),
     "feasibility": (["feasibility", "--plan", "{plan}", "--material", "{material}",
@@ -95,11 +122,11 @@ def cases(draw):
 
 def test_every_numeric_field_is_reachable():
     assert len(list(numeric_paths(BASE["plan"]))) > 20
-    for name in ("geometry", "material", "matrix"):
+    for name in ("geometry", "geometry4", "material", "matrix", "circuit"):
         assert list(numeric_paths(BASE[name]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(cases())
 def test_boundary(case):
     command, name, path, value = case
@@ -127,4 +154,8 @@ def test_boundary(case):
             assert err.startswith("error:"), (case, err)
             assert not any(out.iterdir()), case
         for written in out.iterdir():
-            strict_json(written)
+            if written.suffix == ".csv":
+                rows = [line.split(",") for line in written.read_text().splitlines()[1:]]
+                assert all(math.isfinite(float(v)) for row in rows for v in row), case
+            else:
+                strict_json(written)

@@ -492,3 +492,121 @@ class TestStrictJson:
         assert len(written) == 21
         for path in written:
             strict_json(path)
+
+
+class TestOnePropagator:
+    """Every slab goes through one propagator; `--mode ideal` is its
+    crosstalk-free case."""
+
+    @pytest.mark.parametrize("n, layout, seed", [
+        (2, "multiplex", 10), (4, "multiplex", 11), (8, "multiplex", 12), (4, "stacked", None),
+    ])
+    def test_simulate_modes_write_identical_results(self, tmp_path, n, layout, seed):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", str(n), "--out-dir", str(cfg)])
+        target = tmp_path / "u.json"
+        write_matrix(target, CNOT_MATRIX if seed is None else
+                     haar_unitary(n, np.random.default_rng(seed)))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target), "--geometry",
+                     str(cfg / "geometry.json"), "--layout", layout, "--out", str(plan)]) == 0
+        written = []
+        for k, flags in enumerate([["--mode", "ideal"], ["--mode", "detuned"],
+                                   ["--mode", "ideal", "--crosstalk"]]):
+            out = tmp_path / f"result-{k}.json"
+            assert main(["simulate", "--plan", str(plan), *flags, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize("thickness, mode", [(1e308, "detuned"), (2e3, "ideal")])
+    def test_absurd_thickness_exits_1(self, tmp_path, capsys, thickness, mode):
+        # A 2 km CNOT grating at delta n = 1e-4 is far past the material's
+        # 2.5 cm ceiling and needs more RK4 steps than the bound allows, on
+        # either mode.
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "4", "--out-dir", str(cfg)])
+        target = tmp_path / "cnot.json"
+        write_matrix(target, CNOT_MATRIX)
+        plan = tmp_path / "plan.json"
+        main(["compile", "--unitary", str(target), "--geometry", str(cfg / "geometry.json"),
+              "--layout", "stacked", "--out", str(plan)])
+        payload = load_json(plan)
+        payload["holograms"][0]["thickness_m"] = thickness
+        plan.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--plan", str(plan), "--mode", mode, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: StepUnderflow")
+        if not math.isfinite(thickness * 1e3):
+            assert f"thickness {thickness}" in err
+        assert not out.exists()
+
+
+class TestRejectedInput:
+    @pytest.fixture()
+    def identity_plan(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        identity = tmp_path / "identity.json"
+        write_matrix(identity, np.eye(2))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(identity), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        return plan
+
+    @pytest.mark.parametrize("target", [
+        2.0 * np.eye(2), np.array([[1e308, 0.0], [0.0, 1.0]]),
+    ], ids=["2I", "1e308"])
+    def test_verify_rejects_non_unitary_target(self, tmp_path, identity_plan, capsys, target):
+        path = tmp_path / "target.json"
+        write_matrix(path, target)
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--plan", str(identity_plan), "--target", str(path),
+                         "--out", str(report)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not unitary" in captured.err
+        assert "PASS" not in captured.out
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--target", "{target}"],
+        ["simulate", "--out", "{out}"],
+        ["sweep", "--tilt-range", "0.001", "--samples", "2", "--out", "{out}"],
+        ["feasibility", "--material", "{material}", "--out", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_hologram_without_exposures_exits_2(self, tmp_path, identity_plan, capsys, command):
+        payload = load_json(identity_plan)
+        payload["holograms"][0]["exposures"] = []
+        payload["holograms"][0]["thickness_m"] = 5e-3
+        identity_plan.write_text(json.dumps(payload))
+        files = {"target": str(tmp_path / "identity.json"), "out": str(tmp_path / "out"),
+                 "material": str(tmp_path / "cfg" / "material.json")}
+        argv = [command[0], "--plan", str(identity_plan),
+                *(arg.format(**files) for arg in command[1:])]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty exposure list" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("wires", [[1.7], ["1"], [True], "1", 1],
+                             ids=["float", "string", "bool", "bare-string", "bare-int"])
+    def test_circuit_wires_must_be_integers(self, tmp_path, capsys, wires):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        circuit = tmp_path / "circuit.json"
+        circuit.write_text(json.dumps({
+            "width": 1, "elements": [{"kind": "gate", "name": "h", "wires": wires}],
+        }))
+        capsys.readouterr()
+        out = tmp_path / "plan.json"
+        assert main(["compile", "--circuit", str(circuit), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'wires' must be a list of integers" in err
+        assert not out.exists()

@@ -12,7 +12,6 @@ from hologate.cmt import (
     CouplingSystem,
     build_coupling,
     detuned_transfer,
-    ideal_transfer,
     optimal_thickness,
     selectivity_sweep,
     simulate_stack,
@@ -122,7 +121,7 @@ class TestBuildCoupling:
         assert abs(system.kappa[6, r1]) == pytest.approx(kappa0 / math.sqrt(2), rel=1e-12)
         assert system.exposure_strengths[0] == pytest.approx(kappa0, rel=1e-12)
         # Energy conservation of the resulting evolution.
-        transfer = ideal_transfer(system, optimal_thickness(system)).transfer
+        transfer = detuned_transfer(system, optimal_thickness(system)).transfer
         norms = np.linalg.norm(transfer, axis=0)
         assert np.abs(norms - 1.0).max() < 1e-10
 
@@ -180,10 +179,10 @@ class TestIdealTransfer:
     def test_quarter_and_half_transfer(self, modes2, material):
         system = build_coupling(single_grating(modes2), modes2, material)
         d_opt = optimal_thickness(system)
-        full = ideal_transfer(system, d_opt)
+        full = detuned_transfer(system, d_opt)
         s_pos, r_pos = 0, 2
         assert abs(full.transfer[r_pos, s_pos]) ** 2 == pytest.approx(1.0, abs=1e-12)
-        half = ideal_transfer(system, d_opt / 2.0)
+        half = detuned_transfer(system, d_opt / 2.0)
         assert abs(half.transfer[r_pos, s_pos]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_matrix_exponential_oracle(self):
@@ -192,7 +191,7 @@ class TestIdealTransfer:
             for _ in range(5):
                 system = synthetic_hermitian(n, rng)
                 d = float(rng.uniform(0.1, 2.0))
-                ours = ideal_transfer(system, d).transfer
+                ours = detuned_transfer(system, d).transfer
                 oracle = scipy.linalg.expm(1j * d * system.kappa)
                 assert np.linalg.norm(ours - oracle) < 1e-10
 
@@ -200,7 +199,7 @@ class TestIdealTransfer:
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
         d = optimal_thickness(system)
-        transfer = ideal_transfer(system, d).transfer
+        transfer = detuned_transfer(system, d).transfer
         n = 8
         assert np.abs(transfer[n:, :n] - 1j * TELEPORT_UNITARY_UNCONDITIONAL_Z).max() < 1e-9
         assert np.abs(transfer[:n, :n]).max() < 1e-9
@@ -217,7 +216,7 @@ class TestIdealTransfer:
                 system = build_coupling(compile_multiplex(unitary, modes), modes, material)
                 kappa0 = system.exposure_strengths[0]
                 d = float(rng.uniform(0.2, 1.3)) / kappa0
-                transfer = ideal_transfer(system, d).transfer
+                transfer = detuned_transfer(system, d).transfer
                 angle = kappa0 * d
                 assert np.abs(
                     transfer[n:, :n] - 1j * math.sin(angle) * unitary
@@ -228,13 +227,13 @@ class TestIdealTransfer:
 
     def test_reciprocity_single_grating(self, modes2, material):
         system = build_coupling(single_grating(modes2), modes2, material)
-        transfer = ideal_transfer(system, optimal_thickness(system) * 0.61).transfer
+        transfer = detuned_transfer(system, optimal_thickness(system) * 0.61).transfer
         assert abs(abs(transfer[0, 2]) - abs(transfer[2, 0])) < 1e-12
 
     def test_per_mode_efficiency_fields(self, modes2, material):
         system = build_coupling(single_grating(modes2), modes2, material)
         d = optimal_thickness(system)
-        result = ideal_transfer(system, d)
+        result = detuned_transfer(system, d)
         assert result.per_mode_efficiency[0] == pytest.approx(1.0, abs=1e-12)
         assert result.thickness_used == d
 
@@ -252,7 +251,7 @@ class TestOptimalThickness:
     def test_full_transfer_at_optimum(self, modes8, material):
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
-        result = ideal_transfer(system, optimal_thickness(system))
+        result = detuned_transfer(system, optimal_thickness(system))
         for j in range(8):
             column = result.transfer[8:, j]
             assert np.vdot(column, column).real == pytest.approx(1.0, abs=1e-12)
@@ -274,7 +273,7 @@ class TestDetunedTransfer:
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
         d = optimal_thickness(system)
-        ideal = ideal_transfer(system, d).transfer
+        ideal = detuned_transfer(system, d).transfer
         detuned = detuned_transfer(system, d).transfer
         assert np.linalg.norm(ideal - detuned) < 1e-9
 
@@ -333,7 +332,7 @@ class TestDetunedTransfer:
             detuned_transfer(system, 0.0)
 
     @pytest.mark.parametrize("thickness", [math.nan, math.inf])
-    @pytest.mark.parametrize("transfer", [ideal_transfer, detuned_transfer])
+    @pytest.mark.parametrize("transfer", [detuned_transfer])
     def test_rejects_non_finite_thickness(self, modes2, material, transfer, thickness):
         system = build_coupling(single_grating(modes2), modes2, material)
         with pytest.raises(ValueError, match="thickness must be positive and finite"):
@@ -456,6 +455,32 @@ class TestExactRoute:
             assert np.linalg.norm(ours.conj().T @ ours - np.eye(len(ours))) < 1e-9
 
 
+class TestTransferInvariants:
+    """The propagator refuses a non-unitary transfer and a step bound that overflows."""
+
+    def test_non_unitary_transfer_raises(self, monkeypatch):
+        # The inconsistent three-mode cycle takes the RK4 route.
+        kappa = np.array([[0.0, 1.0, 0.7j], [1.0, 0.0, 0.5], [-0.7j, 0.5, 0.0]])
+        xi = np.array([[0.0, 0.4, -0.2], [-0.4, 0.0, 0.1], [0.2, -0.1, 0.0]])
+        system = CouplingSystem(
+            modes=synthetic_hermitian(4, np.random.default_rng(0)).modes[:3],
+            kappa=kappa,
+            xi=xi,
+            recorded_mask=np.ones((3, 3), dtype=bool),
+            exposure_strengths=(1.0,),
+        )
+        integrate = cmt._integrate
+        detuned_transfer(system, 1.0)
+        monkeypatch.setattr(cmt, "_integrate", lambda *args: 1.001 * integrate(*args))
+        with pytest.raises(FloatingPointError, match="not unitary"):
+            detuned_transfer(system, 1.0)
+
+    def test_step_bound_overflow_names_thickness(self):
+        system = synthetic_pair(1.0, 1.0)
+        with pytest.raises(StepUnderflow, match="thickness 1e[+]308"):
+            detuned_transfer(system, 1e308)
+
+
 class TestIntegrator:
     """The RK4 route, aimed at directly now that potential-consistent pairs go exact."""
 
@@ -481,7 +506,7 @@ class TestIntegrator:
 class TestSimulateStack:
     def test_empty_stack_is_identity(self, modes4, material):
         stack = GratingStack(holograms=(), mode_set=modes4)
-        result = simulate_stack(stack, material, "ideal")
+        result = simulate_stack(stack, material)
         assert np.array_equal(result.transfer, np.eye(8))
 
     def test_teleport_stack_up_to_global_phase(self, modes8, material):
@@ -495,29 +520,17 @@ class TestSimulateStack:
             ),
             material,
         )
-        block = simulate_stack(stack, material, "ideal").transfer[:8, :8]
+        block = simulate_stack(stack, material).transfer[:8, :8]
         report = process_fidelity(TELEPORT_UNITARY_UNCONDITIONAL_Z, block)
         assert report.fidelity > 1 - 1e-9
         assert abs(abs(report.global_phase) - math.pi) < 1e-9  # i * i per pass
-
-    def test_detuned_mode_agrees_for_tuned_stack(self, modes2, material):
-        stack = tune_stack(
-            GratingStack(
-                holograms=(compile_multiplex(np.eye(2), modes2), compile_redirection(modes2)),
-                mode_set=modes2,
-            ),
-            material,
-        )
-        ideal = simulate_stack(stack, material, "ideal").transfer
-        detuned = simulate_stack(stack, material, "detuned").transfer
-        assert np.linalg.norm(ideal - detuned) < 1e-8
 
     def test_untuned_stack_rejected(self, modes2, material):
         stack = GratingStack(
             holograms=(compile_multiplex(np.eye(2), modes2),), mode_set=modes2
         )
         with pytest.raises(ValueError):
-            simulate_stack(stack, material, "ideal")
+            simulate_stack(stack, material)
 
     def test_total_thickness_accumulates(self, modes2, material):
         stack = tune_stack(
@@ -527,7 +540,7 @@ class TestSimulateStack:
             ),
             material,
         )
-        result = simulate_stack(stack, material, "ideal")
+        result = simulate_stack(stack, material)
         assert result.thickness_used == pytest.approx(
             sum(h.thickness for h in stack.holograms)
         )

@@ -124,7 +124,7 @@ class TestCompileRedirection:
             holograms=(compile_multiplex(np.eye(4), modes4), compile_redirection(modes4)),
             mode_set=modes4,
         )
-        result = simulate_stack(tune_stack(stack, material), material, "ideal")
+        result = simulate_stack(tune_stack(stack, material), material)
         block = result.transfer[:4, :4]
         assert process_fidelity(np.eye(4), block).fidelity > 1 - 1e-9
 
@@ -150,7 +150,7 @@ class TestCompileCnotStack:
     def test_first_grating_acts_as_single_redirector(self, modes4, material):
         stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes4), material)
         only_first = GratingStack(holograms=stack.holograms[:1], mode_set=modes4)
-        transfer = simulate_stack(only_first, material, "ideal").transfer
+        transfer = simulate_stack(only_first, material).transfer
         # |S1><S1| + |S2><S2| + |R4><S3| + |S4><S4| up to the diffraction phase.
         for passive in (0, 1, 3):
             assert abs(transfer[passive, passive] - 1.0) < 1e-12
@@ -159,12 +159,12 @@ class TestCompileCnotStack:
 
     def test_stack_realizes_cnot(self, modes4, material):
         stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes4), material)
-        block = simulate_stack(stack, material, "ideal").transfer[:4, :4]
+        block = simulate_stack(stack, material).transfer[:4, :4]
         assert np.abs(block - CNOT_MATRIX).max() < 1e-9
 
     def test_first_two_signals_pass_undiffracted(self, modes4, material):
         stack = tune_stack(compile_signed_permutation_stack(CNOT_MATRIX, modes4), material)
-        transfer = simulate_stack(stack, material, "ideal").transfer
+        transfer = simulate_stack(stack, material).transfer
         assert abs(transfer[0, 0] - 1.0) < 1e-12
         assert abs(transfer[1, 1] - 1.0) < 1e-12
 
@@ -187,7 +187,7 @@ class TestCompileSignedPermutationStack:
         (coeff,) = forward.coefficients.values()
         assert abs(coeff + 1.0) < 1e-12  # recorded fringe phase pi
         tuned = tune_stack(stack, material)
-        block = simulate_stack(tuned, material, "ideal").transfer[:2, :2]
+        block = simulate_stack(tuned, material).transfer[:2, :2]
         # Net amplitude on S2 is -1 relative to the undiffracted S1 path.
         assert abs(block[0, 0] - 1.0) < 1e-9
         assert abs(block[1, 1] + 1.0) < 1e-9
@@ -210,8 +210,8 @@ class TestCompileSignedPermutationStack:
                 ),
                 material,
             )
-            block_a = simulate_stack(stacked, material, "ideal").transfer[:4, :4]
-            block_b = simulate_stack(multiplexed, material, "ideal").transfer[:4, :4]
+            block_a = simulate_stack(stacked, material).transfer[:4, :4]
+            block_b = simulate_stack(multiplexed, material).transfer[:4, :4]
             assert process_fidelity(block_a, block_b).fidelity > 1 - 1e-9
             assert process_fidelity(target, block_a).fidelity > 1 - 1e-9
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hologate.circuit import TELEPORT_UNITARY_UNCONDITIONAL_Z
 from hologate.cmt import (
     build_coupling,
-    ideal_transfer,
+    detuned_transfer,
     optimal_thickness,
     simulate_stack,
     tune_stack,
@@ -89,11 +89,11 @@ class TestDiffractionEfficiency:
         )
         system = build_coupling(hologram, modes2, material)
         d = optimal_thickness(system)
-        result = ideal_transfer(system, d)
+        result = detuned_transfer(system, d)
         assert diffraction_efficiency(
             result, modes2.signals[0], modes2.references[0]
         ) == pytest.approx(1.0, abs=1e-12)
-        half = ideal_transfer(system, d / 2)
+        half = detuned_transfer(system, d / 2)
         assert diffraction_efficiency(
             half, modes2.signals[0], modes2.references[0]
         ) == pytest.approx(0.5, abs=1e-12)
@@ -101,7 +101,7 @@ class TestDiffractionEfficiency:
     def test_outputs_sum_to_one(self, modes8, material):
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
-        result = ideal_transfer(system, optimal_thickness(system) * 0.37)
+        result = detuned_transfer(system, optimal_thickness(system) * 0.37)
         for input_mode in modes8.signals:
             total = sum(
                 diffraction_efficiency(result, input_mode, out)
@@ -115,7 +115,7 @@ class TestDiffractionEfficiency:
                 Exposure(partner=modes2.references[0], coefficients={modes2.signals[0]: 1.0}),
             )
         )
-        result = ideal_transfer(build_coupling(hologram, modes2, material), 1e-3)
+        result = detuned_transfer(build_coupling(hologram, modes2, material), 1e-3)
         with pytest.raises(UnknownMode):
             diffraction_efficiency(result, modes4.signals[1], modes4.references[1])
 
@@ -124,7 +124,7 @@ class TestRealizedUnitary:
     def test_bare_multiplexed_element_lands_on_reference_cone(self, modes8, material):
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
-        result = ideal_transfer(system, optimal_thickness(system))
+        result = detuned_transfer(system, optimal_thickness(system))
         block = realized_unitary(result, modes8, Role.REFERENCE)
         assert np.abs(block - 1j * TELEPORT_UNITARY_UNCONDITIONAL_Z).max() < 1e-9
         gram = block.conj().T @ block
@@ -141,18 +141,18 @@ class TestRealizedUnitary:
             ),
             material,
         )
-        result = simulate_stack(stack, material, "ideal")
+        result = simulate_stack(stack, material)
         block = realized_unitary(result, modes8, Role.SIGNAL)
         report = process_fidelity(TELEPORT_UNITARY_UNCONDITIONAL_Z, block)
         assert report.fidelity > 1 - 1e-9
 
     def test_empty_stack_is_identity(self, modes4, material):
         stack = GratingStack(holograms=(), mode_set=modes4)
-        result = simulate_stack(stack, material, "ideal")
+        result = simulate_stack(stack, material)
         assert np.array_equal(realized_unitary(result, modes4, Role.SIGNAL), np.eye(4))
 
     def test_universe_mismatch_rejected(self, modes2, modes4, material):
         stack = GratingStack(holograms=(), mode_set=modes4)
-        result = simulate_stack(stack, material, "ideal")
+        result = simulate_stack(stack, material)
         with pytest.raises(DimensionMismatch):
             realized_unitary(result, modes2, Role.SIGNAL)
