@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compiler import unitarity_defect
 from .errors import DimensionMismatch, MalformedCircuit, WireOutOfRange
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -45,7 +46,7 @@ _FIXED_MATRICES = {
     GateKind.CNOT: CNOT_MATRIX,
 }
 
-_UNITARY_ATOL = 1e-12
+_UNITARY_TOL = 1e-12  # largest unitarity defect of a controlled-U payload
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,9 @@ class Gate:
                 raise DimensionMismatch(
                     f"payload shape {payload.shape} does not fit {n_targets} target wire(s)"
                 )
-            # Huge or non-finite entries give an inf or NaN deviation, rejected below.
-            with np.errstate(invalid="ignore", over="ignore"):
-                err = np.abs(payload.conj().T @ payload - np.eye(payload.shape[0])).max()
-            if not err <= _UNITARY_ATOL:
-                raise MalformedCircuit(f"payload is not unitary (max deviation {err:.2e})")
+            defect = unitarity_defect(payload)
+            if not defect <= _UNITARY_TOL:
+                raise MalformedCircuit(f"payload is not unitary (Frobenius defect {defect:.2e})")
             object.__setattr__(self, "payload", payload)
         else:
             if self.payload is not None:

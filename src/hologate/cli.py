@@ -113,9 +113,7 @@ def _load_geometry(path: str) -> ConeGeometry:
 
 
 def _load_material(path: str | None):
-    if path is None:
-        return None
-    return formats.material_from_dict(formats.load_json(path))
+    return None if path is None else formats.material_from_dict(formats.load_json(path))
 
 
 def _load_plan(path: str) -> compiler.GratingStack:
@@ -187,7 +185,7 @@ def _output_space(stack: compiler.GratingStack) -> Role:
 def cmd_verify(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     target = formats.matrix_from_dict(formats.load_json(args.target))
-    target = compiler._as_unitary(target, stack.mode_set.dimension)
+    target = compiler.as_unitary(target, stack.mode_set.dimension)
     material = _load_material(args.material)
     stack = cmt.tune_stack(stack, material)
     result = cmt.simulate_stack(stack, material)
@@ -216,8 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
-    material = formats.material_from_dict(formats.load_json(args.material))
-    report = compiler.feasibility_report(stack, material)
+    report = compiler.feasibility_report(stack, _load_material(args.material))
     payload = {
         "recordings": report.recordings,
         "dimension": report.dimension,
@@ -242,15 +239,11 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 
 
 def _demo_geometry(args: argparse.Namespace, dimension: int) -> ConeGeometry:
-    if args.geometry:
-        return _load_geometry(args.geometry)
-    return samples.sample_geometry(dimension)
+    return _load_geometry(args.geometry) if args.geometry else samples.sample_geometry(dimension)
 
 
 def _demo_material(args: argparse.Namespace) -> compiler.MaterialSpec:
-    if args.material:
-        return formats.material_from_dict(formats.load_json(args.material))
-    return samples.sample_material()
+    return _load_material(args.material) if args.material else samples.sample_material()
 
 
 def _run_demo(

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiler import GratingStack, Hologram, MaterialSpec
+from .compiler import GratingStack, Hologram, MaterialSpec, unitarity_defect
 from .errors import NonuniformCoupling, StepUnderflow, UnknownMode
 from .modes import ModeSet, PlaneWaveMode, TWO_PI, wave_vector
 
@@ -64,9 +64,11 @@ _MAX_STEPS = 20_000_000
 #: radians, for which a slab takes the exact rotating-frame route; RK4 is
 #: only accurate to about this much anyway.
 _POTENTIAL_TOL = 1e-9
-#: Largest Frobenius defect ||T^H T - I|| of a returned slab transfer.  RK4
-#: on crosstalk slabs reaches about 1e-10, the exact route about 1e-14.
+#: Largest ||T^H T - I||_F of an exact-route transfer (about 1e-14 seen) and
+#: per RK4 step: RK4's power error x^6/72 at x = 2 pi / `_STEPS_PER_CYCLE`,
+#: the step bound's fastest rotation per step (crosstalk slabs: <= 1.6e-12).
 _UNITARITY_TOL = 1e-9
+_UNITARITY_TOL_PER_STEP = (TWO_PI / _STEPS_PER_CYCLE) ** 6 / 72.0
 
 
 @dataclass(frozen=True)
@@ -318,8 +320,6 @@ def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
     coupled = kappa != 0.0
     n = kappa.shape[0]
     potential = np.zeros(n)
-    if not xi.any():
-        return potential, 0.0  # the walk would give the same zeros
     reached = np.zeros(n, dtype=bool)
     for root in range(n):
         if reached[root]:
@@ -396,7 +396,7 @@ def detuned_transfer(
     the equations.  Either way the RK4 step bound is checked first, so a
     system too stiff to integrate (or whose phases exp(i d_n thickness)
     would carry no accurate digits) raises StepUnderflow, and a transfer
-    whose ||T^H T - I||_F exceeds `_UNITARITY_TOL` raises FloatingPointError.
+    whose ||T^H T - I||_F exceeds its route's bound raises FloatingPointError.
     """
     if not 0.0 < thickness < math.inf:
         raise ValueError(f"thickness must be positive and finite, got {thickness}")
@@ -407,10 +407,12 @@ def detuned_transfer(
         transfer = np.exp(1j * thickness * potential)[:, None] * _hermitian_exp(
             kappa - np.diag(potential), thickness
         )
+        tolerance = _UNITARITY_TOL
     else:
         transfer = _integrate(kappa, xi, thickness, steps)
-    defect = np.linalg.norm(transfer.conj().T @ transfer - np.eye(len(transfer)))
-    if not defect <= _UNITARITY_TOL:
+        tolerance = _UNITARITY_TOL_PER_STEP * steps
+    defect = unitarity_defect(transfer)
+    if not defect <= tolerance:
         raise FloatingPointError(f"slab transfer is not unitary (Frobenius defect {defect:.2e})")
     return TransferResult(
         transfer=transfer,

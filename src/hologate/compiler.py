@@ -161,15 +161,20 @@ class MaterialSpec:
                 raise ValueError(f"{field_name} must be positive and finite, got {value}")
 
 
-def _as_unitary(matrix: np.ndarray, dimension: int) -> np.ndarray:
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """||M^H M - I||_F of a square M; inf or NaN for huge or non-finite entries."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(len(matrix))))
+
+
+def as_unitary(matrix: np.ndarray, dimension: int) -> np.ndarray:
+    """`matrix` as a complex array, checked to be a dimension x dimension unitary."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (dimension, dimension):
         raise DimensionMismatch(
             f"matrix shape {matrix.shape} does not match mode dimension {dimension}"
         )
-    # Huge or inf entries give an inf or NaN defect, rejected below.
-    with np.errstate(invalid="ignore", over="ignore"):
-        defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(dimension))
+    defect = unitarity_defect(matrix)
     if not defect <= _UNITARY_FROBENIUS_TOL:
         raise NotUnitary(f"matrix is not unitary (Frobenius defect {defect:.2e})")
     return matrix
@@ -188,7 +193,7 @@ def compile_multiplex(
     negligible magnitude produce no fringe.
     """
     n = modes.dimension
-    unitary = _as_unitary(unitary, n)
+    unitary = as_unitary(unitary, n)
     exposures = []
     for i in range(n):
         coefficients = {

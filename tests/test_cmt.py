@@ -273,7 +273,7 @@ class TestDetunedTransfer:
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
         d = optimal_thickness(system)
-        ideal = detuned_transfer(system, d).transfer
+        ideal = scipy.linalg.expm(1j * d * np.where(system.recorded_mask, system.kappa, 0.0))
         detuned = detuned_transfer(system, d).transfer
         assert np.linalg.norm(ideal - detuned) < 1e-9
 
@@ -332,11 +332,10 @@ class TestDetunedTransfer:
             detuned_transfer(system, 0.0)
 
     @pytest.mark.parametrize("thickness", [math.nan, math.inf])
-    @pytest.mark.parametrize("transfer", [detuned_transfer])
-    def test_rejects_non_finite_thickness(self, modes2, material, transfer, thickness):
+    def test_rejects_non_finite_thickness(self, modes2, material, thickness):
         system = build_coupling(single_grating(modes2), modes2, material)
         with pytest.raises(ValueError, match="thickness must be positive and finite"):
-            transfer(system, thickness)
+            detuned_transfer(system, thickness)
 
     def test_synthetic_system_accepts_tilt(self):
         # No build stands behind this system; a tilt moves the tilted mode's
@@ -455,25 +454,77 @@ class TestExactRoute:
             assert np.linalg.norm(ours.conj().T @ ours - np.eye(len(ours))) < 1e-9
 
 
+def inconsistent_cycle():
+    """Three modes coupled in a cycle whose detunings no potential explains (RK4 route)."""
+    kappa = np.array([[0.0, 1.0, 0.7j], [1.0, 0.0, 0.5], [-0.7j, 0.5, 0.0]])
+    xi = np.array([[0.0, 0.4, -0.2], [-0.4, 0.0, 0.1], [0.2, -0.1, 0.0]])
+    return CouplingSystem(
+        modes=synthetic_hermitian(4, np.random.default_rng(0)).modes[:3],
+        kappa=kappa,
+        xi=xi,
+        recorded_mask=np.ones((3, 3), dtype=bool),
+        exposure_strengths=(1.0,),
+    )
+
+
+def scaled_to_defect(route, defect, n):
+    """`route` with its transfer scaled so ||T^H T - I||_F grows by about `defect`."""
+    scale = 1.0 + defect / (2.0 * math.sqrt(n))
+    return lambda *args: scale * route(*args)
+
+
 class TestTransferInvariants:
     """The propagator refuses a non-unitary transfer and a step bound that overflows."""
 
     def test_non_unitary_transfer_raises(self, monkeypatch):
-        # The inconsistent three-mode cycle takes the RK4 route.
-        kappa = np.array([[0.0, 1.0, 0.7j], [1.0, 0.0, 0.5], [-0.7j, 0.5, 0.0]])
-        xi = np.array([[0.0, 0.4, -0.2], [-0.4, 0.0, 0.1], [0.2, -0.1, 0.0]])
-        system = CouplingSystem(
-            modes=synthetic_hermitian(4, np.random.default_rng(0)).modes[:3],
-            kappa=kappa,
-            xi=xi,
-            recorded_mask=np.ones((3, 3), dtype=bool),
-            exposure_strengths=(1.0,),
-        )
+        system = inconsistent_cycle()
         integrate = cmt._integrate
         detuned_transfer(system, 1.0)
         monkeypatch.setattr(cmt, "_integrate", lambda *args: 1.001 * integrate(*args))
         with pytest.raises(FloatingPointError, match="not unitary"):
             detuned_transfer(system, 1.0)
+
+    def test_rk4_tolerance_grows_with_step_count(self, monkeypatch):
+        # RK4's defect adds up step by step, so ~5,100 steps may leave up to
+        # ~5,100 * 3.3e-9 = 1.7e-5.  Detunings far above the coupling, as on
+        # crosstalk slabs, keep the unscaled defect near 2e-13.
+        cycle = inconsistent_cycle()
+        system = replace(cycle, kappa=0.01 * cycle.kappa, xi=100.0 * cycle.xi)
+        thickness = 10.0
+        steps = cmt._step_count(system.kappa, system.xi, thickness)
+        assert 5000 < steps < 5200
+        integrate = cmt._integrate
+        monkeypatch.setattr(cmt, "_integrate", scaled_to_defect(integrate, 1e-5, 3))
+        detuned_transfer(system, thickness)
+        monkeypatch.setattr(cmt, "_integrate", scaled_to_defect(integrate, 3e-5, 3))
+        with pytest.raises(FloatingPointError, match="not unitary"):
+            detuned_transfer(system, thickness)
+
+    def test_overdriven_crosstalk_slab_is_accepted(self):
+        # A phased permutation at the material ceiling's modulation, four
+        # times its tuned thickness: RK4 leaves more than the exact route's
+        # 1e-9 (about 3.7e-9 in 3,200 steps), far inside its own bound.
+        from conftest import geometry
+        from hologate.modes import make_cone_basis
+
+        modes = make_cone_basis(geometry(16))
+        rng = np.random.default_rng(5)
+        target = np.eye(16)[rng.permutation(16)] * np.exp(1j * rng.uniform(0, 6.28, 16))
+        system = build_coupling(compile_multiplex(target, modes, index_modulation=1e-3), modes)
+        thickness = 4 * optimal_thickness(system)
+        transfer = detuned_transfer(system, thickness, include_crosstalk=True).transfer
+        assert np.linalg.norm(transfer.conj().T @ transfer - np.eye(32)) > 1e-9
+
+    def test_exact_route_tolerance_ignores_step_count(self, monkeypatch):
+        system = synthetic_pair(0.01, 100.0)
+        thickness = 10.0
+        assert cmt._step_count(system.kappa, system.xi, thickness) > 5000
+        exact = cmt._hermitian_exp
+        monkeypatch.setattr(cmt, "_hermitian_exp", scaled_to_defect(exact, 5e-10, 2))
+        detuned_transfer(system, thickness)
+        monkeypatch.setattr(cmt, "_hermitian_exp", scaled_to_defect(exact, 2e-9, 2))
+        with pytest.raises(FloatingPointError, match="not unitary"):
+            detuned_transfer(system, thickness)
 
     def test_step_bound_overflow_names_thickness(self):
         system = synthetic_pair(1.0, 1.0)
