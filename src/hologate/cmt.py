@@ -69,6 +69,9 @@ _POTENTIAL_TOL = 1e-9
 #: the step bound's fastest rotation per step (crosstalk slabs: <= 1.6e-12).
 _UNITARITY_TOL = 1e-9
 _UNITARITY_TOL_PER_STEP = (TWO_PI / _STEPS_PER_CYCLE) ** 6 / 72.0
+#: Bytes of phase values `_integrate` holds at once: 16 per complex value,
+#: three per step and coupled entry.
+_PHASE_BUDGET_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class CouplingSystem:
         n = len(self.modes)
         if kappa.shape != (n, n) or xi.shape != (n, n):
             raise ValueError("kappa and xi must be square over the mode universe")
+        if not (np.isfinite(kappa).all() and np.isfinite(xi).all()):
+            raise ValueError("kappa and xi must be finite")
         if np.abs(kappa - kappa.conj().T).max(initial=0.0) > 1e-12:
             raise ValueError("kappa must be Hermitian")
         if np.abs(xi + xi.T).max(initial=0.0) > 1e-9:
@@ -136,7 +141,8 @@ def _recorded_pairs(
     coefficient, kappa0) entry per superposition component.  The strength
     of an exposure is sqrt(sum (kappa0 |c|)^2), which `optimal_thickness`
     tunes against.  Raises ValueError for an exposure above the material's
-    modulation ceiling and UnknownMode for a mode outside the set.
+    modulation ceiling or whose coupling strength squared overflows, and
+    UnknownMode for a mode outside the set.
     """
     wavelength = modes.geometry.wavelength
     positions = {mode: i for i, mode in enumerate(modes.universe)}
@@ -156,6 +162,12 @@ def _recorded_pairs(
             if mode not in positions:
                 raise UnknownMode(f"mode {mode} is not in the mode set")
             kappa0 = _pair_strength(exposure.index_modulation, wavelength, exposure.partner, mode)
+            # Squared below, where an overflow would raise OverflowError.
+            if not math.isfinite(kappa0 * kappa0):
+                raise ValueError(
+                    f"exposure modulation delta_n {exposure.index_modulation} gives "
+                    f"coupling strength {kappa0:.3g} per metre, beyond float range"
+                )
             components.append((positions[mode], coeff, kappa0))
             strength_sq += (kappa0 * abs(coeff)) ** 2
         pairs.append((positions[exposure.partner], components))
@@ -355,21 +367,43 @@ def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float) -> int:
 
 
 def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) -> np.ndarray:
-    """Classical fixed-step RK4 on the full propagator across the slab."""
+    """Classical fixed-step RK4 on the full propagator across the slab.
+
+    kappa * exp(i xi z) is formed only on the coupled entries (kappa != 0),
+    at the start, midpoint and end of each step, by one exp per chunk of
+    steps whose phase values fit `_PHASE_BUDGET_BYTES`; the midpoint
+    matrix serves both k2 and k3.  Each coupled entry gets the same
+    floating-point operations as in a dense RK4 loop that evaluates the
+    coupling matrix at every stage, and an uncoupled entry there adds
+    only a signed zero to a propagator whose zeros stay +0, so the result
+    is bit-identical to that loop.
+    """
     h = thickness / steps
     n = kappa.shape[0]
+    coupled = np.flatnonzero(kappa)
+    coupling = np.ravel(kappa)[coupled]
+    rate = 1j * np.ravel(xi)[coupled]
+    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(coupled.size, 1)))
+    # The coupling matrix at a step's start, midpoint and end.
+    matrices = np.zeros((3, n, n), dtype=complex)
+    start, middle, end = matrices
+    entries = matrices.reshape(-1)
+    targets = (np.arange(3)[:, None] * (n * n) + coupled).ravel()
+    half, sixth = 0.5 * h, h / 6.0
     propagator = np.eye(n, dtype=complex)
-
-    def rhs(z: float, y: np.ndarray) -> np.ndarray:
-        return 1j * ((kappa * np.exp(1j * xi * z)) @ y)
-
-    for step in range(steps):
-        z = step * h
-        k1 = rhs(z, propagator)
-        k2 = rhs(z + 0.5 * h, propagator + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h, propagator + 0.5 * h * k2)
-        k4 = rhs(z + h, propagator + h * k3)
-        propagator = propagator + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for first in range(0, steps, chunk):
+        z = np.arange(first, min(first + chunk, steps)) * h
+        nodes = np.stack([z, z + half, z + h], axis=1)
+        # kappa stays the left operand: numpy's complex multiply may fuse a
+        # multiply-add, so phase * kappa can differ from it in the last bit.
+        values = coupling * np.exp(rate * nodes[..., None])
+        for step_values in values.reshape(z.size, -1):
+            entries[targets] = step_values
+            k1 = 1j * (start @ propagator)
+            k2 = 1j * (middle @ (propagator + half * k1))
+            k3 = 1j * (middle @ (propagator + half * k2))
+            k4 = 1j * (end @ (propagator + h * k3))
+            propagator = propagator + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return propagator
 
 

@@ -8,7 +8,9 @@ bit-exactly.  Matrices are stored row-major as [re, im] pairs.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import reprlib
 from pathlib import Path
 from typing import Any
 
@@ -51,21 +53,41 @@ def load_json(path: str | Path) -> dict:
     return payload
 
 
-def _require(payload: dict, key: str, context: str) -> Any:
+_REQUIRED = object()
+_KIND_NAMES = {
+    dict: "an object", list: "a list", int: "an integer", float: "a number", str: "a string",
+}
+
+
+def _as(value: Any, kind: type, where: str) -> Any:
+    """`value` checked to be of JSON type `kind`; `where` names it in the error.
+
+    int means a JSON integer, not a bool.  float means a JSON number or a
+    string that float() reads, returned as a float: "nan" and "inf" pass
+    here and fail the range check of the field they land in.  object
+    accepts any value.
+    """
+    if type(value) is kind or kind is object:
+        return value
+    if kind is float and type(value) in (int, str):
+        with contextlib.suppress(ValueError, OverflowError):
+            return float(value)
+    raise FileFormatError(f"{where} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
+
+
+def _field(payload: Any, key: str, context: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """payload[key] as JSON type `kind` (see `_as`), or `default` when absent.
+
+    `payload` must be a JSON object; `context` is its path in the file.
+    """
+    if type(payload) is not dict:
+        _as(payload, dict, context)
     if key not in payload:
-        raise FileFormatError(f"{context}: missing required field {key!r}")
-    return payload[key]
-
-
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer(payload: dict, key: str, context: str) -> int:
-    value = _require(payload, key, context)
-    if not _is_integer(value):
-        raise FileFormatError(f"{context}: field {key!r} must be an integer, got {value!r}")
-    return value
+        if default is _REQUIRED:
+            raise FileFormatError(f"{context}: missing required field {key!r}")
+        return default
+    value = payload[key]
+    return value if type(value) is kind else _as(value, kind, f"{context}: field {key!r}")
 
 
 # -- geometry and material ---------------------------------------------------
@@ -84,13 +106,13 @@ def geometry_to_dict(geometry: ConeGeometry) -> dict:
 
 def geometry_from_dict(payload: dict) -> ConeGeometry:
     return ConeGeometry(
-        dimension=_integer(payload, "n", "geometry"),
-        signal_half_angle=float(_require(payload, "theta_s_rad", "geometry")),
-        reference_half_angle=float(_require(payload, "theta_r_rad", "geometry")),
-        wavelength=float(_require(payload, "lambda_m", "geometry")),
-        aperture_breadth=float(_require(payload, "aperture_m", "geometry")),
-        signal_azimuth_offset=float(payload.get("signal_offset_rad", 0.0)),
-        reference_azimuth_offset=float(payload.get("reference_offset_rad", np.pi)),
+        dimension=_field(payload, "n", "geometry", int),
+        signal_half_angle=_field(payload, "theta_s_rad", "geometry", float),
+        reference_half_angle=_field(payload, "theta_r_rad", "geometry", float),
+        wavelength=_field(payload, "lambda_m", "geometry", float),
+        aperture_breadth=_field(payload, "aperture_m", "geometry", float),
+        signal_azimuth_offset=_field(payload, "signal_offset_rad", "geometry", float, 0.0),
+        reference_azimuth_offset=_field(payload, "reference_offset_rad", "geometry", float, np.pi),
     )
 
 
@@ -105,10 +127,10 @@ def material_to_dict(material: MaterialSpec) -> dict:
 
 def material_from_dict(payload: dict) -> MaterialSpec:
     return MaterialSpec(
-        max_total_thickness=float(_require(payload, "max_total_thickness_m", "material")),
-        max_index_modulation=float(_require(payload, "max_index_modulation", "material")),
-        meters_per_recording=float(payload.get("meters_per_recording", 1e-3)),
-        name=str(payload.get("name", "")),
+        max_total_thickness=_field(payload, "max_total_thickness_m", "material", float),
+        max_index_modulation=_field(payload, "max_index_modulation", "material", float),
+        meters_per_recording=_field(payload, "meters_per_recording", "material", float, 1e-3),
+        name=_field(payload, "name", "material", str, ""),
     )
 
 
@@ -123,11 +145,22 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:
-    dim = _integer(payload, "dim", "matrix")
-    entries = _require(payload, "entries", "matrix")
+    dim = _field(payload, "dim", "matrix", int)
+    if dim < 1:
+        raise FileFormatError(f"matrix: field 'dim' must be positive, got {dim}")
+    entries = _field(payload, "entries", "matrix", list)
     if len(entries) != dim * dim:
         raise FileFormatError(f"matrix: expected {dim * dim} entries, got {len(entries)}")
-    values = [complex(float(re), float(im)) for re, im in entries]
+    values = []
+    for k, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) != 2:
+            raise FileFormatError(
+                f"matrix: entries[{k}] must be an [re, im] pair, got {reprlib.repr(entry)}"
+            )
+        re, im = entry
+        if type(re) is not float or type(im) is not float:
+            re, im = (_as(v, float, f"matrix: entries[{k}]") for v in entry)
+        values.append(complex(re, im))
     return np.array(values, dtype=complex).reshape(dim, dim)
 
 
@@ -158,37 +191,43 @@ def _gate_to_dict(gate: Gate) -> dict:
     return entry
 
 
-def _gate_from_dict(payload: dict) -> Gate:
-    name = str(_require(payload, "name", "gate"))
+def _gate_from_dict(payload: dict, context: str) -> Gate:
+    # "kind" is optional inside a cgate, which holds only a gate.
+    if _field(payload, "kind", context, str, "gate") != "gate":
+        raise FileFormatError(f"{context}: expected a gate, got kind {payload['kind']!r}")
+    name = _field(payload, "name", context, str)
     try:
         kind = GateKind(name)
     except ValueError:
-        raise FileFormatError(f"gate: unknown gate name {name!r}") from None
-    wires = _require(payload, "wires", "gate")
-    if not isinstance(wires, list) or not all(_is_integer(w) for w in wires):
-        raise FileFormatError(f"gate: field 'wires' must be a list of integers, got {wires!r}")
-    matrix = payload.get("matrix")
+        raise FileFormatError(f"{context}: unknown gate name {name!r}") from None
+    wires = _field(payload, "wires", context, object)
+    if type(wires) is not list or not all(type(w) is int for w in wires):
+        raise FileFormatError(
+            f"{context}: field 'wires' must be a list of integers, got {reprlib.repr(wires)}"
+        )
+    matrix = _field(payload, "matrix", context, dict, None)
     return Gate(kind, tuple(wires), matrix_from_dict(matrix) if matrix is not None else None)
 
 
 def circuit_from_dict(payload: dict) -> QuantumCircuit:
-    width = _integer(payload, "width", "circuit")
+    width = _field(payload, "width", "circuit", int)
     elements: list = []
-    for entry in _require(payload, "elements", "circuit"):
-        kind = _require(entry, "kind", "circuit element")
+    for i, entry in enumerate(_field(payload, "elements", "circuit", list)):
+        context = f"circuit.elements[{i}]"
+        kind = _field(entry, "kind", context, str)
         if kind == "gate":
-            elements.append(_gate_from_dict(entry))
+            elements.append(_gate_from_dict(entry, context))
         elif kind == "measure":
-            elements.append(Measurement(_integer(entry, "wire", "measure")))
+            elements.append(Measurement(_field(entry, "wire", context, int)))
         elif kind == "cgate":
             elements.append(
                 ClassicallyControlledGate(
-                    gate=_gate_from_dict(_require(entry, "gate", "cgate")),
-                    source_wire=_integer(entry, "source_wire", "cgate"),
+                    gate=_gate_from_dict(_field(entry, "gate", context, dict), f"{context}.gate"),
+                    source_wire=_field(entry, "source_wire", context, int),
                 )
             )
         else:
-            raise FileFormatError(f"circuit element: unknown kind {kind!r}")
+            raise FileFormatError(f"{context}: unknown kind {kind!r}")
     return QuantumCircuit(width, tuple(elements))
 
 
@@ -198,9 +237,12 @@ def _mode_key(mode: PlaneWaveMode) -> dict:
     return {"role": mode.role.value, "index": mode.index}
 
 
-def _mode_from_key(payload: dict, modes: ModeSet) -> PlaneWaveMode:
-    role = Role(str(_require(payload, "role", "mode")))
-    return modes.find(role, _integer(payload, "index", "mode"))
+def _mode_from_key(parent: dict, key: str, context: str, modes: ModeSet) -> PlaneWaveMode:
+    """The mode that the object at parent[key] names."""
+    payload = _field(parent, key, context, dict)
+    context = f"{context}.{key}"
+    role = Role(_field(payload, "role", context, str))
+    return modes.find(role, _field(payload, "index", context, int))
 
 
 def plan_to_dict(stack: GratingStack) -> dict:
@@ -239,32 +281,37 @@ def plan_to_dict(stack: GratingStack) -> dict:
 def plan_from_dict(payload: dict) -> GratingStack:
     if payload.get("format") != PLAN_FORMAT:
         raise FileFormatError(f"plan: expected format {PLAN_FORMAT!r}")
-    modes = make_cone_basis(geometry_from_dict(_require(payload, "geometry", "plan")))
+    modes = make_cone_basis(geometry_from_dict(_field(payload, "geometry", "plan", dict)))
     holograms = []
-    for h_payload in _require(payload, "holograms", "plan"):
+    for i, h_payload in enumerate(_field(payload, "holograms", "plan", list)):
+        h_context = f"plan.holograms[{i}]"
         exposures = []
-        for e_payload in _require(h_payload, "exposures", "hologram"):
+        for j, e_payload in enumerate(_field(h_payload, "exposures", h_context, list)):
+            e_context = f"{h_context}.exposures[{j}]"
             coefficients = {}
-            for c_payload in _require(e_payload, "coefficients", "exposure"):
-                mode = _mode_from_key(_require(c_payload, "mode", "coefficient"), modes)
-                coefficients[mode] = complex(
-                    float(_require(c_payload, "re", "coefficient")),
-                    float(_require(c_payload, "im", "coefficient")),
+            for k, c_payload in enumerate(_field(e_payload, "coefficients", e_context, list)):
+                c_context = f"{e_context}.coefficients[{k}]"
+                coefficients[_mode_from_key(c_payload, "mode", c_context, modes)] = complex(
+                    _field(c_payload, "re", c_context, float),
+                    _field(c_payload, "im", c_context, float),
                 )
             exposures.append(
                 Exposure(
-                    partner=_mode_from_key(_require(e_payload, "partner", "exposure"), modes),
+                    partner=_mode_from_key(e_payload, "partner", e_context, modes),
                     coefficients=coefficients,
-                    index_modulation=float(_require(e_payload, "delta_n", "exposure")),
-                    phase=float(e_payload.get("phase_rad", 0.0)),
+                    index_modulation=_field(e_payload, "delta_n", e_context, float),
+                    phase=_field(e_payload, "phase_rad", e_context, float, 0.0),
                 )
             )
+        # null, as written for an untuned hologram, leaves the thickness unset.
         thickness = h_payload.get("thickness_m")
+        if thickness is not None:
+            thickness = _field(h_payload, "thickness_m", h_context, float)
         holograms.append(
             Hologram(
                 exposures=tuple(exposures),
-                thickness=float(thickness) if thickness is not None else None,
-                label=str(h_payload.get("label", "")),
+                thickness=thickness,
+                label=_field(h_payload, "label", h_context, str, ""),
             )
         )
     return GratingStack(holograms=tuple(holograms), mode_set=modes)

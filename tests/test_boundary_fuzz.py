@@ -6,6 +6,10 @@ Non-finite values (NaN, +-inf, and the strings "nan" and "inf", which
 `float()` accepts) must exit 2 with an `error:` line.  Whatever a command
 writes must be strict JSON, without the non-standard NaN/Infinity tokens,
 or a CSV of finite numbers.
+
+A structural mutation replaces any node of a circuit or plan file by a
+value of another JSON type; it must exit 2 with an `error:` line and
+write nothing.
 """
 
 import contextlib
@@ -159,3 +163,72 @@ def test_boundary(case):
                 assert all(math.isfinite(float(v)) for row in rows for v in row), case
             else:
                 strict_json(written)
+
+
+#: One value of each JSON type.  A structural mutation replaces one node of
+#: a circuit or plan file by the value of a type other than its own.
+JSON_VALUES = {"null": None, "bool": True, "number": 7, "string": "x", "list": [7],
+               "object": {"x": 7}}
+
+
+def json_type(node) -> str:
+    if isinstance(node, bool):
+        return "bool"
+    if isinstance(node, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "list", dict: "object"}[type(node)]
+
+
+def node_paths(node, path=()):
+    """Key/index paths of every node below the root, with the node itself."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,), child
+        yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def structural_cases(draw):
+    name = draw(st.sampled_from(["circuit", "plan"]))
+    command = draw(st.sampled_from(sorted(c for c in COMMANDS if name in COMMANDS[c][1])))
+    path, node = draw(st.sampled_from(list(node_paths(BASE[name]))))
+    kinds = set(JSON_VALUES) - {json_type(node)}
+    if path[-1] == "thickness_m":
+        kinds.discard("null")  # the spelling of an untuned hologram
+    return command, name, path, JSON_VALUES[draw(st.sampled_from(sorted(kinds)))]
+
+
+def test_every_node_is_reachable():
+    paths = [path for path, _ in node_paths(BASE["plan"])]
+    assert ("holograms", 0, "exposures", 0, "coefficients", 0, "mode") in paths
+    assert len(paths) > len(list(numeric_paths(BASE["plan"]))) + 20
+    assert {json_type(node) for _, node in node_paths(BASE["circuit"])} == {
+        "number", "string", "list", "object"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(structural_cases())
+def test_structural_mutation_exits_2(case):
+    command, name, path, value = case
+    argv_template, _ = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        out.mkdir()
+        files = {"out": str(out)}
+        for key, payload in BASE.items():
+            files[key] = str(tmp / f"{key}.json")
+            Path(files[key]).write_text(
+                json.dumps(replaced(payload, path, value) if key == name else payload)
+            )
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([arg.format(**files) for arg in argv_template])
+        assert code == 2, (case, code, stderr.getvalue())
+        assert stderr.getvalue().startswith("error:"), (case, stderr.getvalue())
+        assert not any(out.iterdir()), case

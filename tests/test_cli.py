@@ -610,3 +610,25 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'wires' must be a list of integers" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta_n", [1e308, 1e160])
+    def test_coupling_beyond_float_range_exits_2(self, tmp_path, identity_plan, capsys,
+                                                  delta_n):
+        # No --material, so no modulation ceiling stops the exposure first.
+        payload = load_json(identity_plan)
+        for hologram in payload["holograms"]:
+            hologram["thickness_m"] = 0.005
+            for exposure in hologram["exposures"]:
+                exposure["delta_n"] = delta_n
+        identity_plan.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "result.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--mode", "detuned", "--plan", str(identity_plan),
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"modulation delta_n {delta_n}" in err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not out.exists()

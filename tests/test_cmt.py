@@ -89,6 +89,19 @@ def single_grating(modes, delta_n=1e-4):
 
 
 class TestBuildCoupling:
+    @pytest.mark.parametrize("kappa, xi", [
+        (math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_non_finite_coupling_is_rejected(self, kappa, xi):
+        with pytest.raises(ValueError, match="must be finite"):
+            synthetic_pair(kappa, xi)
+
+    def test_modulation_beyond_float_range_is_named(self, modes2):
+        with pytest.raises(ValueError, match="delta_n 1e[+]308"):
+            build_coupling(single_grating(modes2, delta_n=1e308), modes2)
+        with pytest.raises(ValueError, match="delta_n 1e[+]308"):
+            tune_stack(GratingStack((single_grating(modes2, delta_n=1e308),), modes2))
+
     def test_recorded_pair_is_phase_matched(self, modes2, material):
         system = build_coupling(single_grating(modes2), modes2, material)
         s_pos, r_pos = 0, 2

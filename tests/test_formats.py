@@ -69,6 +69,12 @@ class TestMatrix:
         with pytest.raises(FileFormatError):
             matrix_from_dict({"dim": 2, "entries": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_must_be_positive(self, dim):
+        # -2 squared matches the four entries, and reshape(-2, -2) fails unnamed.
+        with pytest.raises(FileFormatError, match="'dim' must be positive"):
+            matrix_from_dict({"dim": dim, "entries": [[1.0, 0.0]] * 4})
+
 
 class TestCircuit:
     def test_teleportation_round_trip(self):
