@@ -71,10 +71,7 @@ from .modes import (
     ModeSet,
     PlaneWaveMode,
     Role,
-    SelectivityReport,
-    aperture_overlap,
     make_cone_basis,
-    selectivity_guard,
     wave_vector,
 )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import circuit as qc
 from . import cmt, compiler, formats, metrics, samples
-from .errors import HologateError, StepUnderflow
+from .errors import DimensionMismatch, HologateError, StepUnderflow
 from .modes import ConeGeometry, Role, make_cone_basis
 
 EXIT_OK = 0
@@ -121,29 +121,35 @@ def _load_plan(path: str) -> compiler.GratingStack:
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     geometry = formats.geometry_to_dict(samples.sample_geometry(args.dimension))
     geometry["_note"] = "illustrative sample values; replace with your own design"
     material = formats.material_to_dict(samples.sample_material())
     material["_note"] = "illustrative sample values; replace with your own medium data"
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     formats.dump_json(geometry, out_dir / "geometry.json")
     formats.dump_json(material, out_dir / "material.json")
     print(f"wrote {out_dir / 'geometry.json'} and {out_dir / 'material.json'}")
     return EXIT_OK
 
 
-def _target_unitary(args: argparse.Namespace) -> np.ndarray:
+def _target_unitary(args: argparse.Namespace, dimension: int) -> np.ndarray:
     if args.unitary:
         return formats.matrix_from_dict(formats.load_json(args.unitary))
     circuit = formats.circuit_from_dict(formats.load_json(args.circuit))
+    # Compared without forming 2**width, which a huge width cannot afford.
+    if circuit.width >= dimension.bit_length() or 1 << circuit.width != dimension:
+        raise DimensionMismatch(
+            f"circuit width {circuit.width} needs dimension 2**{circuit.width}, "
+            f"but the geometry has n = {dimension}"
+        )
     deferred = qc.defer_measurements(circuit)
     return qc.circuit_unitary(qc.without_terminal_measurements(deferred))
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     geometry = _load_geometry(args.geometry)
-    unitary = _target_unitary(args)
+    unitary = _target_unitary(args, geometry.dimension)
     modes = make_cone_basis(geometry)
     if args.layout == "stacked":
         stack = compiler.compile_signed_permutation_stack(

@@ -16,13 +16,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidGeometry, UnknownMode
 
 TWO_PI = 2.0 * math.pi
+
+#: Largest accepted dimension N.  Pass 2 of `cmt.build_coupling` holds
+#: about 64 * N**3 bytes for one exposure of an N-component multiplex,
+#: 1 GiB at N = 256, so a larger N could not be simulated anyway.
+MAX_DIMENSION = 256
 
 
 class Role(enum.Enum):
@@ -67,9 +72,10 @@ class ConeGeometry:
     """Shared geometry of the signal and reference cones.
 
     The two half angles must differ; equal cones would make signal and
-    reference waves indistinguishable to the grating.  ``dimension`` is
-    normally >= 2 (``make_cone_basis`` enforces this); a value of 1 is
-    tolerated at the type level for degenerate single-pair plans.
+    reference waves indistinguishable to the grating.  ``ModeSet(geometry)``
+    builds the bases for any ``dimension`` from 1 to ``MAX_DIMENSION``;
+    ``make_cone_basis`` asks for a computational basis, N >= 2, while 1
+    serves degenerate single-pair plans.
     """
 
     dimension: int
@@ -81,8 +87,10 @@ class ConeGeometry:
     reference_azimuth_offset: float = math.pi
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidGeometry(f"dimension must be >= 1, got {self.dimension}")
+        if not 1 <= self.dimension <= MAX_DIMENSION:
+            raise InvalidGeometry(
+                f"dimension must lie in [1, {MAX_DIMENSION}], got {self.dimension}"
+            )
         for name, angle in (
             ("signal_half_angle", self.signal_half_angle),
             ("reference_half_angle", self.reference_half_angle),
@@ -114,36 +122,39 @@ class ConeGeometry:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Ordered signal and reference bases generated from one geometry."""
+    """Signal and reference bases built from one geometry.
+
+    Each cone carries ``dimension`` waves, indexed 1..N and spaced
+    2*pi/N in azimuth from the cone's offset.
+    """
 
     geometry: ConeGeometry
-    signals: tuple[PlaneWaveMode, ...]
-    references: tuple[PlaneWaveMode, ...]
+    signals: tuple[PlaneWaveMode, ...] = field(init=False)
+    references: tuple[PlaneWaveMode, ...] = field(init=False)
 
     def __post_init__(self):
-        n = self.geometry.dimension
-        if len(self.signals) != n or len(self.references) != n:
-            raise InvalidGeometry("mode lists must each hold exactly `dimension` modes")
-        for role, listing, offset, angle in (
-            (Role.SIGNAL, self.signals, self.geometry.signal_azimuth_offset,
-             self.geometry.signal_half_angle),
-            (Role.REFERENCE, self.references, self.geometry.reference_azimuth_offset,
-             self.geometry.reference_half_angle),
-        ):
-            for i, mode in enumerate(listing, start=1):
-                if mode.role is not role or mode.index != i:
-                    raise InvalidGeometry(f"{role.value} modes must be indexed 1..N in order")
-                expected = (offset + (i - 1) * self.geometry.azimuthal_spacing) % TWO_PI
-                if not math.isclose(mode.azimuth, expected, rel_tol=0.0, abs_tol=1e-9):
-                    raise InvalidGeometry(
-                        f"{role.value} mode {i} azimuth {mode.azimuth} != expected {expected}"
-                    )
-                if not math.isclose(mode.cone_half_angle, angle, rel_tol=0.0, abs_tol=1e-12):
-                    raise InvalidGeometry(f"{role.value} modes must share one cone half angle")
-                if not math.isclose(
-                    mode.wavenumber, self.geometry.wavenumber, rel_tol=1e-12, abs_tol=0.0
-                ):
-                    raise InvalidGeometry("all modes must share the geometry wavenumber")
+        geometry = self.geometry
+        k = geometry.wavenumber
+        spacing = geometry.azimuthal_spacing
+
+        def ring(role: Role, offset: float, angle: float) -> tuple[PlaneWaveMode, ...]:
+            return tuple(
+                PlaneWaveMode(
+                    role=role,
+                    index=i,
+                    azimuth=offset + (i - 1) * spacing,
+                    cone_half_angle=angle,
+                    wavenumber=k,
+                )
+                for i in range(1, geometry.dimension + 1)
+            )
+
+        object.__setattr__(self, "signals", ring(
+            Role.SIGNAL, geometry.signal_azimuth_offset, geometry.signal_half_angle
+        ))
+        object.__setattr__(self, "references", ring(
+            Role.REFERENCE, geometry.reference_azimuth_offset, geometry.reference_half_angle
+        ))
 
     @property
     def dimension(self) -> int:
@@ -169,31 +180,10 @@ class ModeSet:
 
 
 def make_cone_basis(geometry: ConeGeometry) -> ModeSet:
-    """Place N signal and N reference waves equally spaced around their cones."""
+    """The mode set of `geometry`, which must have dimension >= 2."""
     if geometry.dimension < 2:
         raise InvalidGeometry("a computational basis needs dimension >= 2")
-    k = geometry.wavenumber
-    spacing = geometry.azimuthal_spacing
-
-    def ring(role: Role, offset: float, angle: float) -> tuple[PlaneWaveMode, ...]:
-        return tuple(
-            PlaneWaveMode(
-                role=role,
-                index=i,
-                azimuth=offset + (i - 1) * spacing,
-                cone_half_angle=angle,
-                wavenumber=k,
-            )
-            for i in range(1, geometry.dimension + 1)
-        )
-
-    return ModeSet(
-        geometry=geometry,
-        signals=ring(Role.SIGNAL, geometry.signal_azimuth_offset, geometry.signal_half_angle),
-        references=ring(
-            Role.REFERENCE, geometry.reference_azimuth_offset, geometry.reference_half_angle
-        ),
-    )
+    return ModeSet(geometry)
 
 
 def wave_vector(mode: PlaneWaveMode) -> np.ndarray:
@@ -206,45 +196,4 @@ def wave_vector(mode: PlaneWaveMode) -> np.ndarray:
             k * st * math.sin(mode.azimuth),
             k * math.cos(mode.cone_half_angle),
         ]
-    )
-
-
-def aperture_overlap(a: PlaneWaveMode, b: PlaneWaveMode, aperture_breadth: float) -> complex:
-    """Normalized overlap of two plane waves over a square aperture.
-
-    The integral (1/D^2) * iint_square conj(a) * b dx dy separates into a
-    product of two sinc factors in the transverse wave-vector differences.
-    Identical modes give exactly 1; distinct cone positions decay toward 0
-    as the aperture grows.  This is a diagnostic for how well the finite
-    aperture approximates ideal (Kronecker) orthogonality; the compiler
-    always works in the idealized basis.
-    """
-    if a == b:
-        return complex(1.0)
-    dk = wave_vector(b) - wave_vector(a)
-    sx = np.sinc(dk[0] * aperture_breadth / TWO_PI)
-    sy = np.sinc(dk[1] * aperture_breadth / TWO_PI)
-    return complex(sx * sy)
-
-
-@dataclass(frozen=True)
-class SelectivityReport:
-    """Outcome of comparing angular selectivity against mode spacing."""
-
-    ok: bool
-    margin: float
-
-
-def selectivity_guard(mode_set: ModeSet, angular_selectivity: float) -> SelectivityReport:
-    """Check that the hologram can tell adjacent cone positions apart.
-
-    Adjacent basis waves are separated by 2*pi/N in azimuth; the element
-    only resolves them if its angular selectivity is strictly smaller.
-    """
-    if angular_selectivity <= 0.0:
-        raise ValueError("angular selectivity must be positive")
-    spacing = mode_set.geometry.azimuthal_spacing
-    return SelectivityReport(
-        ok=angular_selectivity < spacing,
-        margin=spacing - angular_selectivity,
     )

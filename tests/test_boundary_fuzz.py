@@ -7,9 +7,10 @@ Non-finite values (NaN, +-inf, and the strings "nan" and "inf", which
 writes must be strict JSON, without the non-standard NaN/Infinity tokens,
 or a CSV of finite numbers.
 
-A structural mutation replaces any node of a circuit or plan file by a
-value of another JSON type; it must exit 2 with an `error:` line and
-write nothing.
+A structural mutation changes one node of any input file: it replaces
+the node by a value of another JSON type, drops a key, or empties a list.
+The command must exit 0, 2 or 3, never 1; an exit 2 prints an `error:`
+line and writes nothing.  A change of type must exit 2.
 """
 
 import contextlib
@@ -106,12 +107,21 @@ def numeric_paths(node, path=()):
         yield from numeric_paths(child, path + (key,))
 
 
+#: Stands for "remove this key" in `replaced`.
+DROP = object()
+
+
 def replaced(payload, path, value):
+    """A copy of `payload` with the node at `path` set to `value`, or removed
+    when `value` is `DROP`."""
     payload = json.loads(json.dumps(payload))
     node = payload
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return payload
 
 
@@ -130,26 +140,40 @@ def test_every_numeric_field_is_reachable():
         assert list(numeric_paths(BASE[name]))
 
 
+def run_mutated(command, name, path, value, tmp: Path):
+    """Run `command` with the node at `path` of file `name` set to `value`
+    (or dropped): (exit code, stderr, out dir)."""
+    out = tmp / "out"
+    out.mkdir()
+    files = {"out": str(out)}
+    for key, payload in BASE.items():
+        files[key] = str(tmp / f"{key}.json")
+        # json.dumps spells float NaN/inf as the tokens the loader must reject.
+        Path(files[key]).write_text(
+            json.dumps(replaced(payload, path, value) if key == name else payload)
+        )
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([arg.format(**files) for arg in COMMANDS[command][0]])
+    return code, stderr.getvalue(), out
+
+
+def check_written(out: Path, case):
+    """Whatever was written is strict JSON or a CSV of finite numbers."""
+    for written in out.iterdir():
+        if written.suffix == ".csv":
+            rows = [line.split(",") for line in written.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(v)) for row in rows for v in row), case
+        else:
+            strict_json(written)
+
+
 @settings(max_examples=600, deadline=None)
 @given(cases())
 def test_boundary(case):
-    command, name, path, value = case
-    argv_template, _ = COMMANDS[command]
+    value = case[3]
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        out = tmp / "out"
-        out.mkdir()
-        files = {"out": str(out)}
-        for key, payload in BASE.items():
-            if key == name:
-                payload = replaced(payload, path, value)
-            files[key] = str(tmp / f"{key}.json")
-            # json.dumps spells float NaN/inf as the tokens the loader must reject.
-            Path(files[key]).write_text(json.dumps(payload))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([arg.format(**files) for arg in argv_template])
-        err = stderr.getvalue()
+        code, err, out = run_mutated(*case, Path(tmp))
         assert code in (0, 1, 2, 3), (case, code)
         if value in NON_FINITE:  # NaN matches itself here: `in` tests identity first
             assert code == 2, (case, code, err)
@@ -157,20 +181,13 @@ def test_boundary(case):
         if code in (1, 2):
             assert err.startswith("error:"), (case, err)
             assert not any(out.iterdir()), case
-        for written in out.iterdir():
-            if written.suffix == ".csv":
-                rows = [line.split(",") for line in written.read_text().splitlines()[1:]]
-                assert all(math.isfinite(float(v)) for row in rows for v in row), case
-            else:
-                strict_json(written)
+        check_written(out, case)
 
 
-#: One value of each JSON type.  A structural mutation replaces one node of
-#: a circuit or plan file by the value of a type other than its own.
+#: One value of each JSON type.  A type mutation replaces one node of an
+#: input file by the value of a type other than its own.
 JSON_VALUES = {"null": None, "bool": True, "number": 7, "string": "x", "list": [7],
                "object": {"x": 7}}
-
-
 def json_type(node) -> str:
     if isinstance(node, bool):
         return "bool"
@@ -192,15 +209,43 @@ def node_paths(node, path=()):
         yield from node_paths(child, path + (key,))
 
 
-@st.composite
-def structural_cases(draw):
-    name = draw(st.sampled_from(["circuit", "plan"]))
-    command = draw(st.sampled_from(sorted(c for c in COMMANDS if name in COMMANDS[c][1])))
-    path, node = draw(st.sampled_from(list(node_paths(BASE[name]))))
-    kinds = set(JSON_VALUES) - {json_type(node)}
-    if path[-1] == "thickness_m":
-        kinds.discard("null")  # the spelling of an untuned hologram
-    return command, name, path, JSON_VALUES[draw(st.sampled_from(sorted(kinds)))]
+def mutations(path, node):
+    """(name, value) of every mutation of the node at `path`."""
+    for kind in sorted(set(JSON_VALUES) - {json_type(node)}):
+        if not (kind == "null" and path[-1] == "thickness_m"):  # an untuned hologram
+            yield f"type:{kind}", JSON_VALUES[kind]
+    if isinstance(path[-1], str):
+        yield "drop", DROP
+    if isinstance(node, list) and node:
+        yield "empty", []
+
+
+def structural_cases():
+    """Every (command, file, path, mutation, value) case, each once."""
+    for name, payload in BASE.items():
+        commands = sorted(c for c in COMMANDS if name in COMMANDS[c][1])
+        for path, node in node_paths(payload):
+            for mutation, value in mutations(path, node):
+                for command in commands:
+                    yield command, name, path, mutation, value
+
+
+STRUCTURAL_CASES = list(structural_cases())
+
+
+def check_structural(case, tmp: Path):
+    """The boundary contract: exit 0, 2 or 3; exit 2 says `error:` and writes
+    nothing; anything written is strict JSON or a CSV of finite numbers.  A
+    type mutation must exit 2."""
+    command, name, path, mutation, value = case
+    code, err, out = run_mutated(command, name, path, value, tmp)
+    assert code in (0, 2, 3), (case, code, err)
+    if mutation.startswith("type:"):
+        assert code == 2, (case, code, err)
+    if code == 2:
+        assert err.startswith("error:"), (case, err)
+        assert not any(out.iterdir()), case
+    check_written(out, case)
 
 
 def test_every_node_is_reachable():
@@ -209,26 +254,19 @@ def test_every_node_is_reachable():
     assert len(paths) > len(list(numeric_paths(BASE["plan"]))) + 20
     assert {json_type(node) for _, node in node_paths(BASE["circuit"])} == {
         "number", "string", "list", "object"}
+    assert {case[1] for case in STRUCTURAL_CASES} == set(BASE)
+    assert {case[3] for case in STRUCTURAL_CASES} >= {"drop", "empty", "type:null"}
 
 
 @settings(max_examples=300, deadline=None)
-@given(structural_cases())
+@given(st.sampled_from([c for c in STRUCTURAL_CASES if c[3].startswith("type:")]))
 def test_structural_mutation_exits_2(case):
-    command, name, path, value = case
-    argv_template, _ = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        out = tmp / "out"
-        out.mkdir()
-        files = {"out": str(out)}
-        for key, payload in BASE.items():
-            files[key] = str(tmp / f"{key}.json")
-            Path(files[key]).write_text(
-                json.dumps(replaced(payload, path, value) if key == name else payload)
-            )
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main([arg.format(**files) for arg in argv_template])
-        assert code == 2, (case, code, stderr.getvalue())
-        assert stderr.getvalue().startswith("error:"), (case, stderr.getvalue())
-        assert not any(out.iterdir()), case
+        check_structural(case, Path(tmp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([c for c in STRUCTURAL_CASES if not c[3].startswith("type:")]))
+def test_dropped_key_or_empty_list(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_structural(case, Path(tmp))

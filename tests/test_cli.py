@@ -10,6 +10,7 @@ import pytest
 from hologate.circuit import CNOT_MATRIX
 from hologate.cli import main
 from hologate.formats import dump_json, load_json, matrix_to_dict
+from hologate.modes import MAX_DIMENSION
 
 from conftest import haar_unitary, strict_json
 
@@ -632,3 +633,59 @@ class TestRejectedInput:
         assert err.startswith("error:") and f"modulation delta_n {delta_n}" in err
         assert "RuntimeWarning" not in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("width", [3, 24, 40])
+    def test_circuit_width_must_match_geometry(self, tmp_path, capsys, width):
+        # 2**24 and 2**40 are never formed: the width is checked first.
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "4", "--out-dir", str(cfg)])
+        circuit = tmp_path / "circuit.json"
+        circuit.write_text(json.dumps({"width": width, "elements": []}))
+        capsys.readouterr()
+        out = tmp_path / "plan.json"
+        assert main(["compile", "--circuit", str(circuit), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch")
+        assert f"circuit width {width}" in err and "n = 4" in err
+        assert not out.exists()
+
+
+class TestDimensionCap:
+    def test_init_rejects_huge_dimension(self, tmp_path, capsys):
+        out = tmp_path / "cfg"
+        assert main(["init", "--dimension", "1000000000", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidGeometry: dimension must lie")
+        assert not out.exists()
+
+    def test_init_accepts_the_cap(self, tmp_path):
+        assert main(["init", "--dimension", str(MAX_DIMENSION), "--out-dir", str(tmp_path)]) == 0
+        assert load_json(tmp_path / "geometry.json")["n"] == MAX_DIMENSION
+
+    @pytest.mark.parametrize("command", [
+        ["compile", "--unitary", "{target}", "--geometry", "{geometry}", "--out", "{out}"],
+        ["simulate", "--plan", "{plan}", "--out", "{out}"],
+        ["verify", "--plan", "{plan}", "--target", "{target}", "--out", "{out}"],
+        ["sweep", "--plan", "{plan}", "--tilt-range", "0.001", "--out", "{out}"],
+        ["feasibility", "--plan", "{plan}", "--material", "{material}", "--out", "{out}"],
+        ["cnot-demo", "--geometry", "{geometry}", "--out-dir", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_huge_n_exits_2_before_any_mode(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        target = tmp_path / "identity.json"
+        write_matrix(target, np.eye(2))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        for path in (plan, cfg / "geometry.json"):
+            payload = load_json(path)
+            payload.get("geometry", payload)["n"] = 10**9
+            path.write_text(json.dumps(payload))
+        files = {"target": str(target), "geometry": str(cfg / "geometry.json"),
+                 "plan": str(plan), "material": str(cfg / "material.json"),
+                 "out": str(tmp_path / "out")}
+        capsys.readouterr()
+        assert main([arg.format(**files) for arg in command]) == 2
+        assert "dimension must lie in [1, 256], got 1000000000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

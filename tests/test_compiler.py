@@ -23,7 +23,7 @@ from hologate.errors import (
     UnknownMode,
 )
 from hologate.metrics import process_fidelity
-from hologate.modes import ConeGeometry, ModeSet, PlaneWaveMode, Role, make_cone_basis
+from hologate.modes import ConeGeometry, ModeSet, Role, make_cone_basis
 
 from conftest import geometry, haar_unitary
 
@@ -107,15 +107,10 @@ class TestCompileRedirection:
             assert exposure.coefficients == {modes8.references[i]: 1.0}
 
     def test_single_mode_set(self):
-        # Degenerate single-pair redirection; the basis is built by hand
-        # because cone bases start at dimension 2.
+        # Degenerate single-pair redirection; ModeSet builds it directly
+        # because make_cone_basis starts at dimension 2.
         geo = ConeGeometry(1, 0.08, 0.16, 6.33e-7, 5e-3)
-        k = geo.wavenumber
-        modes = ModeSet(
-            geometry=geo,
-            signals=(PlaneWaveMode(Role.SIGNAL, 1, 0.0, 0.08, k),),
-            references=(PlaneWaveMode(Role.REFERENCE, 1, math.pi, 0.16, k),),
-        )
+        modes = ModeSet(geo)
         hologram = compile_redirection(modes)
         assert len(hologram.exposures) == 1
 
