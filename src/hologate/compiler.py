@@ -76,24 +76,35 @@ class Exposure:
             raise ValueError(f"exposure phase must be finite, got {self.phase}")
         if self.partner in self.coefficients:
             raise ValueError("partner wave cannot appear in its own superposition")
-        total = sum(abs(c) * abs(c) for c in self.coefficients.values())
+        total = _norm_squared(self.coefficients)
         if not abs(total - 1.0) <= _COEFF_NORM_TOL:
             raise ValueError(f"superposition norm {total} is not 1")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
 
 
-def _overlap(a: Exposure, b: Exposure) -> complex:
-    return sum(
-        a.coefficients[m].conjugate() * c for m, c in b.coefficients.items()
-        if m in a.coefficients
-    )
+def _norm_squared(coefficients: dict[PlaneWaveMode, complex]) -> float:
+    return sum(abs(c) * abs(c) for c in coefficients.values())
+
+
+def _overlap(exposures: tuple[Exposure, ...]) -> np.ndarray:
+    """|<a|b>| for every pair of exposures, as one Gram matrix over the modes they use."""
+    columns: dict[PlaneWaveMode, int] = {}
+    rows = [{columns.setdefault(m, len(columns)): c for m, c in e.coefficients.items()}
+            for e in exposures]
+    matrix = np.zeros((len(rows), len(columns)), dtype=complex)
+    for i, row in enumerate(rows):
+        matrix[i, list(row)] = list(row.values())
+    return np.abs(matrix.conj() @ matrix.T)
 
 
 @dataclass(frozen=True)
 class Hologram:
     """A multiplexed element: one or more exposures sharing a slab of material.
 
-    `thickness` stays None until the plan is tuned (see cmt.optimal_thickness).
+    The exposures need distinct partner waves and mutually orthogonal
+    superpositions.  Orthogonality is checked as one Gram matrix: every
+    off-diagonal magnitude must stay within 1e-10.  `thickness` stays None
+    until the plan is tuned (see cmt.optimal_thickness).
     """
 
     exposures: tuple[Exposure, ...]
@@ -107,12 +118,10 @@ class Hologram:
         partners = [e.partner for e in self.exposures]
         if len(set(partners)) != len(partners):
             raise ValueError("exposures within one hologram need distinct partner waves")
-        for i, a in enumerate(self.exposures):
-            for b in self.exposures[i + 1 :]:
-                if abs(_overlap(a, b)) > _ORTHOGONALITY_TOL:
-                    raise ValueError(
-                        "exposure superpositions within one hologram must be orthogonal"
-                    )
+        gram = _overlap(self.exposures)
+        np.fill_diagonal(gram, 0.0)
+        if (gram > _ORTHOGONALITY_TOL).any():
+            raise ValueError("exposure superpositions within one hologram must be orthogonal")
         _check_thickness(self.thickness)
 
     def with_thickness(self, thickness: float) -> "Hologram":
@@ -190,25 +199,35 @@ def compile_multiplex(
     """One multiplexed hologram realizing `unitary` from signal to reference cone.
 
     Exposure i pairs partner R_i with sum_j conj(U_ij)|S_j>.  Entries of
-    negligible magnitude produce no fringe.
+    negligible magnitude produce no fringe.  A row whose squared norm is
+    not within _COEFF_NORM_TOL of 1 raises NotUnitary naming the row.
     """
     n = modes.dimension
     unitary = as_unitary(unitary, n)
-    exposures = []
-    for i in range(n):
-        coefficients = {
+    rows = [
+        {
             modes.signals[j]: np.conj(unitary[i, j])
             for j in range(n)
             if abs(unitary[i, j]) > _NEGLIGIBLE_COEFF
         }
-        exposures.append(
-            Exposure(
-                partner=modes.references[i],
-                coefficients=coefficients,
-                index_modulation=index_modulation,
+        for i in range(n)
+    ]
+    for i, coefficients in enumerate(rows):
+        total = _norm_squared(coefficients)
+        if not abs(total - 1.0) <= _COEFF_NORM_TOL:
+            raise NotUnitary(
+                f"row {i + 1} has squared norm {total}, which is not within "
+                f"{_COEFF_NORM_TOL:g} of 1, so it cannot be recorded as one exposure"
             )
+    exposures = tuple(
+        Exposure(
+            partner=modes.references[i],
+            coefficients=coefficients,
+            index_modulation=index_modulation,
         )
-    return Hologram(exposures=tuple(exposures), label=label)
+        for i, coefficients in enumerate(rows)
+    )
+    return Hologram(exposures=exposures, label=label)
 
 
 def compile_redirection(

@@ -80,6 +80,28 @@ class TestCompileSimulateVerify:
         ]) == 2
         assert "NotUnitary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, code", [(1 + 1e-13, 0), (1 + 2e-12, 2)])
+    def test_compile_names_the_row_it_cannot_record(self, tmp_path, capsys, scale, code):
+        # Both scalings pass the 1e-10 unitarity bound; only the second puts
+        # row 1's squared norm outside the 1e-12 bound an exposure needs.
+        cfg = tmp_path / "cfg"
+        assert main(["init", "--dimension", "4", "--out-dir", str(cfg)]) == 0
+        unitary = haar_unitary(4, np.random.default_rng(11))
+        unitary[0] *= scale
+        target, plan = tmp_path / "target.json", tmp_path / "plan.json"
+        write_matrix(target, unitary)
+        capsys.readouterr()
+        assert main([
+            "compile", "--unitary", str(target),
+            "--geometry", str(cfg / "geometry.json"), "--out", str(plan),
+        ]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and plan.exists()
+        else:
+            assert err.startswith("error: NotUnitary: row 1 ") and "1e-12" in err
+            assert not plan.exists()
+
     def test_compile_from_circuit_file(self, tmp_path, config_dir):
         circuit = {
             "width": 3,
