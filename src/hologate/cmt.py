@@ -175,6 +175,38 @@ def _recorded_pairs(
     return pairs, tuple(strengths)
 
 
+def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budget: int):
+    """Yield (grating, pair) index arrays of every offset shorter than bound.
+
+    An offset is transverse[pair] - gratings[grating], and the test is
+    ~(hypot >= bound), negated like the scalar confirm.  Only pairs whose x
+    lies in [gx - bound, gx + bound] can pass, so the pairs are sorted by x
+    once and each grating's window is found by `searchsorted`.  Hits come
+    in (grating, pair) order, in blocks of gratings whose windows hold at
+    most `budget` pairs together (or one grating's window if larger).
+    """
+    order = transverse[:, 0].argsort()
+    sorted_t = transverse[order]
+    sorted_x, gx = sorted_t[:, 0], gratings[:, 0]
+    starts = sorted_x.searchsorted(gx - bound, side="left")
+    counts = sorted_x.searchsorted(gx + bound, side="right") - starts
+    ends = counts.cumsum()
+    # Window entry k of grating g sits at sorted position k + shift[g].
+    shift = starts - ends + counts
+    first = 0
+    while first < len(gratings):
+        filled = ends[first] - counts[first]
+        last = max(first + 1, int(ends.searchsorted(filled + budget, side="right")))
+        grating = np.arange(first, last).repeat(counts[first:last])
+        index = np.arange(filled, ends[last - 1]) + shift[grating]
+        offsets = sorted_t[index] - gratings[grating]
+        near = ~(np.hypot(offsets[:, 0], offsets[:, 1]) >= bound)
+        grating, pair = grating[near], order[index[near]]
+        keep = np.lexsort((pair, grating))
+        yield grating[keep], pair[keep]
+        first = last
+
+
 def build_coupling(
     hologram: Hologram,
     modes: ModeSet,
@@ -189,15 +221,13 @@ def build_coupling(
     the z mismatch as a detuning rate and act only when crosstalk is
     requested.
 
-    Parasitic candidates are found per exposure by one numpy broadcast of
-    all pairwise transverse differences k_a - k_b against the exposure's
-    gratings, with a 1e-9 relative slack on the tolerance so that no pair
-    the scalar test accepts is missed (np.hypot and math.hypot may differ
-    in the last bit).  Each candidate is then confirmed by the scalar test
-    and added in exposure, component, row-major (a, b) order.  That is the
-    order of an exhaustive scan over all pairs, so every merge, every
-    dropped degenerate fringe and every floating-point sum is the same as
-    in that scan, and the result is bit-for-bit identical to it.
+    Parasitic candidates come from one window search over the whole
+    hologram (`_near_pairs`), with a 1e-9 relative slack on the tolerance
+    so that no pair the scalar test accepts is missed.  Each is confirmed
+    by the scalar test and added in exposure, component, row-major (a, b)
+    order, the order of an exhaustive scan over all pairs, so every merge,
+    dropped degenerate fringe and float sum, and so the result, is
+    bit-for-bit that scan's.
     """
     wavelength = modes.geometry.wavelength
     transverse_tol = TWO_PI / modes.geometry.aperture_breadth
@@ -235,32 +265,40 @@ def build_coupling(
     exposures = hologram.exposures
     pairs, strengths = _recorded_pairs(hologram, modes, material)
 
+    # One entry per fringe: exposure, partner p, component m, kappa0, |c| and
+    # the phase factor exp(i (arg c + phi)), which every replay shares.
+    fringes = [
+        (exposure, p, m, kappa0, abs(coeff), np.exp(1j * (np.angle(coeff) + exposure.phase)))
+        for exposure, (p, components) in zip(exposures, pairs)
+        for m, coeff, kappa0 in components
+    ]
+
     # Pass 1: the recorded pairs, phase matched by construction.
-    for exposure, (p, components) in zip(exposures, pairs):
-        for m, coeff, kappa0 in components:
-            value = kappa0 * abs(coeff) * np.exp(1j * (np.angle(coeff) + exposure.phase))
-            add(m, p, value, True, 0.0)
+    for _, p, m, kappa0, weight, phasor in fringes:
+        add(m, p, kappa0 * weight * phasor, True, 0.0)
 
     # Pass 2: parasitic replays of each fringe by other, nearly matched pairs.
-    transverse = vectors[:, None, :2] - vectors[None, :, :2]
+    gratings = vectors[[m for _, _, m, *_ in fringes]] - vectors[[p for _, p, *_ in fringes]]
+    transverse = (vectors[:, None, :2] - vectors[None, :, :2]).reshape(n * n, 2)
+    # A tiny aperture widens every window to all n**2 pairs; blocks of half
+    # of one exposure's C * n**2 offsets then keep the search's memory small.
+    budget = n * n // 2 * max((len(components) for _, components in pairs), default=1)
     candidate_bound = transverse_tol * (1.0 + 1e-9)
-    for exposure, (p, components) in zip(exposures, pairs):
-        gratings = [vectors[m] - vectors[p] for m, _, _ in components]
-        offsets = transverse - np.array(gratings)[:, None, None, :2]
-        # Negated >= so that NaN offsets stay candidates, as in the scalar test.
-        near = ~(np.hypot(offsets[..., 0], offsets[..., 1]) >= candidate_bound)
-        for c, a, b in np.argwhere(near).tolist():
-            m, coeff, _ = components[c]
+    search = _near_pairs(transverse, gratings[:, :2], candidate_bound, budget)
+    vecs, grats = vectors.tolist(), gratings.tolist()
+    for near_grating, near_pair in search:
+        for g, ab in zip(near_grating.tolist(), near_pair.tolist()):
+            a, b = divmod(ab, n)
+            exposure, p, m, _, weight, phasor = fringes[g]
             if a == b or (a == m and b == p):
                 continue
-            mismatch = vectors[a] - vectors[b] - gratings[c]
-            if math.hypot(mismatch[0], mismatch[1]) >= transverse_tol:
+            (ax, ay, az), (bx, by, bz), (gx, gy, gz) = vecs[a], vecs[b], grats[g]
+            if math.hypot(ax - bx - gx, ay - by - gy) >= transverse_tol:
                 continue
-            cross_mag = _pair_strength(
+            strength = _pair_strength(
                 exposure.index_modulation, wavelength, universe[a], universe[b]
-            ) * abs(coeff)
-            cross = cross_mag * np.exp(1j * (np.angle(coeff) + exposure.phase))
-            add(a, b, cross, False, float(mismatch[2]))
+            )
+            add(a, b, strength * weight * phasor, False, az - bz - gz)
 
     return CouplingSystem(
         modes=universe,

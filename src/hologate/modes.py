@@ -24,9 +24,10 @@ from .errors import InvalidGeometry, UnknownMode
 
 TWO_PI = 2.0 * math.pi
 
-#: Largest accepted dimension N.  Pass 2 of `cmt.build_coupling` holds
-#: about 64 * N**3 bytes for one exposure of an N-component multiplex,
-#: 1 GiB at N = 256, so a larger N could not be simulated anyway.
+#: Largest accepted dimension N.  An aperture small enough to make every
+#: pair a candidate leaves pass 2 of `cmt.build_coupling` 4 * N**4 replays
+#: of an N-component multiplex to confirm, in blocks of up to 2 * N**3, so
+#: a larger N could not be simulated anyway.
 MAX_DIMENSION = 256
 
 

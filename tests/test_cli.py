@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hologate.cmt as cmt
 from hologate.circuit import CNOT_MATRIX
 from hologate.cli import main
 from hologate.formats import dump_json, load_json, matrix_to_dict
@@ -69,6 +70,26 @@ class TestCompileSimulateVerify:
             "verify", "--plan", str(plan), "--target", str(decoy),
             "--threshold", "0.999999",
         ]) == 3
+
+    def test_verify_n64_haar_fails_on_merged_replays(self, tmp_path, monkeypatch):
+        # At N = 64 the sample geometry's 5 mm aperture cannot tell some
+        # parasitic replays from recorded pairs, and pass 2 merges them onto
+        # the recorded couplings: the plan misses its own target.  With no
+        # parasitic candidates the same plan verifies at fidelity 1.
+        cfg = tmp_path / "cfg"
+        assert main(["init", "--dimension", "64", "--out-dir", str(cfg)]) == 0
+        target = tmp_path / "haar64.json"
+        write_matrix(target, haar_unitary(64, np.random.default_rng(64)))
+        plan = tmp_path / "plan64.json"
+        assert main(["compile", "--unitary", str(target),
+                     "--geometry", str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        verify = ["verify", "--plan", str(plan), "--target", str(target), "--out"]
+        assert main([*verify, str(tmp_path / "report.json")]) == 3
+        assert load_json(tmp_path / "report.json")["fidelity"] < 0.95
+
+        monkeypatch.setattr(cmt, "_near_pairs", lambda *args: iter(()))
+        assert main([*verify, str(tmp_path / "lazy.json")]) == 0
+        assert load_json(tmp_path / "lazy.json")["fidelity"] > 1.0 - 1e-9
 
     def test_compile_non_unitary_exits_2_with_diagnostic(self, tmp_path, config_dir, capsys):
         bad = tmp_path / "bad.json"
