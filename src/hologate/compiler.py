@@ -34,7 +34,7 @@ from .errors import (
     NotUnitary,
     UnknownMode,
 )
-from .modes import ModeSet, PlaneWaveMode, TWO_PI, wave_vector
+from .modes import ModeSet, PlaneWaveMode, Role, TWO_PI, wave_vector
 
 #: Index-modulation amplitude used when a plan does not specify one.
 #: An illustrative value for PTR-like glass; adjust per material batch.
@@ -364,22 +364,41 @@ class FeasibilityReport:
     max_dimension: int
 
 
+def _smallest_grating_vector(modes: ModeSet, exposures: list[Exposure]) -> float:
+    """Smallest |k_component - k_partner| over every recorded fringe; inf if none.
+
+    The row norms of one (P, 3) difference array may differ from a
+    per-row `np.linalg.norm` in the last bit, so that exact norm is taken
+    again on the rows within 1e-12 relative of the smallest row norm.
+    """
+    def row(mode: PlaneWaveMode) -> int:  # its position in modes.universe, without hashing
+        return mode.index - 1 + (modes.dimension if mode.role is Role.REFERENCE else 0)
+
+    partners, components = [], []
+    for exposure in exposures:
+        partner = row(exposure.partner)
+        for mode in exposure.coefficients:
+            partners.append(partner)
+            components.append(row(mode))
+    if not partners:
+        return math.inf
+    vectors = np.array([wave_vector(mode) for mode in modes.universe])
+    differences = vectors[components] - vectors[partners]
+    approximate = np.sqrt(np.einsum("ij,ij->i", differences, differences))
+    near = np.flatnonzero(approximate <= approximate.min() * (1.0 + 1e-12))
+    return min(float(np.linalg.norm(differences[i])) for i in near)
+
+
 def feasibility_report(stack: GratingStack, material: MaterialSpec) -> FeasibilityReport:
     """Thickness, Bragg-regime, and selectivity budget for a plan."""
     geometry = stack.mode_set.geometry
-    recordings = sum(len(h.exposures) for h in stack.holograms)
+    exposures = [e for h in stack.holograms for e in h.exposures]
+    recordings = len(exposures)
     required = recordings * material.meters_per_recording
     per_dimension = geometry.dimension * material.meters_per_recording
 
-    smallest_k = math.inf
-    modulation_ok = True
-    for hologram in stack.holograms:
-        for exposure in hologram.exposures:
-            if exposure.index_modulation > material.max_index_modulation:
-                modulation_ok = False
-            partner_k = wave_vector(exposure.partner)
-            for mode in exposure.coefficients:
-                smallest_k = min(smallest_k, float(np.linalg.norm(wave_vector(mode) - partner_k)))
+    modulation_ok = all(e.index_modulation <= material.max_index_modulation for e in exposures)
+    smallest_k = _smallest_grating_vector(stack.mode_set, exposures)
     if math.isfinite(smallest_k) and smallest_k > 0.0 and required > 0.0:
         period = TWO_PI / smallest_k
         q_ratio = required * geometry.wavelength / period**2

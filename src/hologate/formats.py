@@ -1,15 +1,20 @@
 """JSON and CSV file formats for geometries, circuits, plans, and results.
 
-All JSON is written with sorted keys and newline-terminated, and floats
-rely on Python's shortest round-trip repr, so identical inputs always
+Every JSON file holds, byte for byte, the stdlib's text for the payload
+with indent 2, sorted keys and no NaN or infinity, plus a newline.
+Floats use Python's shortest round-trip repr, so identical inputs always
 produce byte-identical files and coefficients survive a round trip
-bit-exactly.  Matrices are stored row-major as [re, im] pairs.
+bit-exactly.  `dump_json` writes that text itself, because the stdlib
+serves indented output only from its pure-Python generator encoder,
+which took most of the time of compiling a large plan.  Matrices are
+stored row-major as [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import reprlib
 from pathlib import Path
 from typing import Any
@@ -37,7 +42,63 @@ class FileFormatError(HologateError, ValueError):
 
 
 def dump_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Write `payload` as the stdlib's indent-2, sorted-key JSON text plus a newline.
+
+    The bytes are those of `json.dumps` with ``indent=2``,
+    ``sort_keys=True`` and ``allow_nan=False``, but `_encode` builds them:
+    the stdlib has no C encoder for indented text.  The text is complete
+    before the file is opened, so a NaN or infinity (ValueError, with the
+    stdlib's message) or a value JSON cannot hold (TypeError) leaves no file.
+    """
+    parts: list[str] = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
+    Path(path).write_text("".join(parts))
+
+
+_escape = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _encode(value: Any, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of `value` to `parts`, testing types in the stdlib's order.
+
+    `newline` is a newline plus the indent of the line `value` starts on.
+    A dict key that is not a string raises TypeError from `_escape`.
+    """
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(_int_repr(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(_float_repr(value))
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _encode(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            parts.append(separator + _escape(key) + ": ")
+            _encode(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def load_json(path: str | Path) -> dict:
