@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--plan", required=True)
     p_sim.add_argument("--material", help="material JSON file (modulation ceiling check)")
     p_sim.add_argument("--mode", choices=("ideal", "detuned"), default="ideal",
-                       help="ideal: detuned without --crosstalk (which it ignores)")
+                       help="no effect: --crosstalk alone adds parasitic couplings")
     p_sim.add_argument("--crosstalk", action="store_true")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
@@ -121,7 +121,8 @@ def _load_plan(path: str) -> compiler.GratingStack:
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    geometry = formats.geometry_to_dict(samples.sample_geometry(args.dimension))
+    modes = make_cone_basis(samples.sample_geometry(args.dimension))  # n = 1 fits no plan
+    geometry = formats.geometry_to_dict(modes.geometry)
     geometry["_note"] = "illustrative sample values; replace with your own design"
     material = formats.material_to_dict(samples.sample_material())
     material["_note"] = "illustrative sample values; replace with your own medium data"
@@ -174,9 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     material = _load_material(args.material)
     stack = cmt.tune_stack(stack, material)
-    result = cmt.simulate_stack(
-        stack, material, include_crosstalk=args.mode == "detuned" and args.crosstalk
-    )
+    result = cmt.simulate_stack(stack, material, include_crosstalk=args.crosstalk)
     formats.dump_json(formats.result_to_dict(result), args.out)
     print(f"simulated {len(stack.holograms)} hologram(s); wrote {args.out}")
     return EXIT_OK

@@ -142,10 +142,9 @@ def _recorded_pairs(
     of an exposure is sqrt(sum (kappa0 |c|)^2), which `optimal_thickness`
     tunes against.  Raises ValueError for an exposure above the material's
     modulation ceiling or whose coupling strength squared overflows, and
-    UnknownMode for a mode outside the set.
+    UnknownMode (from `ModeSet.position`) for a mode outside the set.
     """
     wavelength = modes.geometry.wavelength
-    positions = {mode: i for i, mode in enumerate(modes.universe)}
     pairs = []
     strengths = []
     for exposure in hologram.exposures:
@@ -154,13 +153,11 @@ def _recorded_pairs(
                 f"exposure modulation {exposure.index_modulation} exceeds material "
                 f"ceiling {material.max_index_modulation}"
             )
-        if exposure.partner not in positions:
-            raise UnknownMode(f"partner {exposure.partner} is not in the mode set")
+        partner = modes.position(exposure.partner)
         components = []
         strength_sq = 0.0
         for mode, coeff in exposure.coefficients.items():
-            if mode not in positions:
-                raise UnknownMode(f"mode {mode} is not in the mode set")
+            position = modes.position(mode)
             kappa0 = _pair_strength(exposure.index_modulation, wavelength, exposure.partner, mode)
             # Squared below, where an overflow would raise OverflowError.
             if not math.isfinite(kappa0 * kappa0):
@@ -168,9 +165,9 @@ def _recorded_pairs(
                     f"exposure modulation delta_n {exposure.index_modulation} gives "
                     f"coupling strength {kappa0:.3g} per metre, beyond float range"
                 )
-            components.append((positions[mode], coeff, kappa0))
+            components.append((position, coeff, kappa0))
             strength_sq += (kappa0 * abs(coeff)) ** 2
-        pairs.append((positions[exposure.partner], components))
+        pairs.append((partner, components))
         strengths.append(math.sqrt(strength_sq))
     return pairs, tuple(strengths)
 

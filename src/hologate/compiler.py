@@ -28,13 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotSignedPermutation,
-    NotUnitary,
-    UnknownMode,
-)
-from .modes import ModeSet, PlaneWaveMode, Role, TWO_PI, wave_vector
+from .errors import DimensionMismatch, NotSignedPermutation, NotUnitary
+from .modes import ModeSet, PlaneWaveMode, TWO_PI, wave_vector
 
 #: Index-modulation amplitude used when a plan does not specify one.
 #: An illustrative value for PTR-like glass; adjust per material batch.
@@ -146,12 +141,10 @@ class GratingStack:
 
     def __post_init__(self):
         object.__setattr__(self, "holograms", tuple(self.holograms))
-        known = set(self.mode_set.universe)
         for hologram in self.holograms:
             for exposure in hologram.exposures:
                 for mode in (exposure.partner, *exposure.coefficients):
-                    if mode not in known:
-                        raise UnknownMode(f"exposure references {mode} outside the mode set")
+                    self.mode_set.position(mode)  # raises UnknownMode outside the set
 
 
 @dataclass(frozen=True)
@@ -371,15 +364,12 @@ def _smallest_grating_vector(modes: ModeSet, exposures: list[Exposure]) -> float
     per-row `np.linalg.norm` in the last bit, so that exact norm is taken
     again on the rows within 1e-12 relative of the smallest row norm.
     """
-    def row(mode: PlaneWaveMode) -> int:  # its position in modes.universe, without hashing
-        return mode.index - 1 + (modes.dimension if mode.role is Role.REFERENCE else 0)
-
     partners, components = [], []
     for exposure in exposures:
-        partner = row(exposure.partner)
+        partner = modes.position(exposure.partner)
         for mode in exposure.coefficients:
             partners.append(partner)
-            components.append(row(mode))
+            components.append(modes.position(mode))
     if not partners:
         return math.inf
     vectors = np.array([wave_vector(mode) for mode in modes.universe])

@@ -30,7 +30,7 @@ from .circuit import (
 )
 from .cmt import TransferResult
 from .compiler import Exposure, GratingStack, Hologram, MaterialSpec
-from .errors import HologateError
+from .errors import HologateError, UnknownMode
 from .metrics import FidelityReport
 from .modes import ConeGeometry, ModeSet, PlaneWaveMode, Role, make_cone_basis
 
@@ -299,11 +299,18 @@ def _mode_key(mode: PlaneWaveMode) -> dict:
 
 
 def _mode_from_key(parent: dict, key: str, context: str, modes: ModeSet) -> PlaneWaveMode:
-    """The mode that the object at parent[key] names."""
+    """The mode that the object at parent[key] names; an unknown one names its path."""
     payload = _field(parent, key, context, dict)
     context = f"{context}.{key}"
-    role = Role(_field(payload, "role", context, str))
-    return modes.find(role, _field(payload, "index", context, int))
+    name = _field(payload, "role", context, str)
+    try:
+        role = Role(name)
+    except ValueError:
+        raise FileFormatError(f"{context}: unknown role {reprlib.repr(name)}") from None
+    try:
+        return modes.find(role, _field(payload, "index", context, int))
+    except UnknownMode as exc:
+        raise FileFormatError(f"{context}: {exc.args[0]} (n = {modes.dimension})") from None
 
 
 def plan_to_dict(stack: GratingStack) -> dict:
@@ -356,6 +363,8 @@ def plan_from_dict(payload: dict) -> GratingStack:
                     _field(c_payload, "re", c_context, float),
                     _field(c_payload, "im", c_context, float),
                 )
+                if len(coefficients) == k:  # the entry replaced an earlier one
+                    raise FileFormatError(f"{c_context}.mode: listed twice in one exposure")
             exposures.append(
                 Exposure(
                     partner=_mode_from_key(e_payload, "partner", e_context, modes),

@@ -173,11 +173,19 @@ class ModeSet:
         return listing[index - 1]
 
     def position(self, mode: PlaneWaveMode) -> int:
-        """Index of `mode` within the canonical universe ordering."""
-        try:
-            return self.universe.index(mode)
-        except ValueError:
-            raise UnknownMode(f"mode {mode} is not part of this set") from None
+        """Index of `mode` in `universe`, in O(1): the package's one mode-to-position map.
+
+        The slot follows from the mode's role and index, and this set's mode
+        there must be `mode` or equal to it; anything else, an object that
+        is not a PlaneWaveMode included, raises UnknownMode.
+        """
+        if isinstance(mode, PlaneWaveMode) and mode.index <= self.dimension:
+            signal = mode.role is Role.SIGNAL
+            # int(): an equal mode may hold its index as 2.0, say.
+            mine = (self.signals if signal else self.references)[int(mode.index) - 1]
+            if mine is mode or mine == mode:
+                return mine.index - 1 + (0 if signal else self.dimension)
+        raise UnknownMode(f"mode {mode} is not part of this set")
 
 
 def make_cone_basis(geometry: ConeGeometry) -> ModeSet:

@@ -539,8 +539,8 @@ class TestStrictJson:
 
 
 class TestOnePropagator:
-    """Every slab goes through one propagator; `--mode ideal` is its
-    crosstalk-free case."""
+    """Every slab goes through one propagator; `--mode` has no effect and
+    `--crosstalk` alone adds the parasitic couplings."""
 
     @pytest.mark.parametrize("n, layout, seed", [
         (2, "multiplex", 10), (4, "multiplex", 11), (8, "multiplex", 12), (4, "stacked", None),
@@ -556,11 +556,14 @@ class TestOnePropagator:
                      str(cfg / "geometry.json"), "--layout", layout, "--out", str(plan)]) == 0
         written = []
         for k, flags in enumerate([["--mode", "ideal"], ["--mode", "detuned"],
-                                   ["--mode", "ideal", "--crosstalk"]]):
+                                   ["--mode", "ideal", "--crosstalk"],
+                                   ["--mode", "detuned", "--crosstalk"]]):
             out = tmp_path / f"result-{k}.json"
             assert main(["simulate", "--plan", str(plan), *flags, "--out", str(out)]) == 0
             written.append(out.read_bytes())
-        assert written[0] == written[1] == written[2]
+        # --mode has no effect; --crosstalk alone decides.
+        assert written[0] == written[1]
+        assert written[2] == written[3]
 
     @pytest.mark.parametrize("thickness, mode", [(1e308, "detuned"), (2e3, "ideal")])
     def test_absurd_thickness_exits_1(self, tmp_path, capsys, thickness, mode):
@@ -694,11 +697,78 @@ class TestRejectedInput:
         assert not out.exists()
 
 
+class TestPlanModes:
+    """A plan's mode keys are checked where they are read, naming their JSON path."""
+
+    @pytest.fixture()
+    def cnot_plan(self, tmp_path):
+        assert main(["cnot-demo", "--out-dir", str(tmp_path / "demo")]) == 0
+        return tmp_path / "demo" / "plan.json"
+
+    def run(self, tmp_path, plan, command, capsys):
+        material = tmp_path / "demo" / "material.json"
+        dump_json({"max_total_thickness_m": 2.5e-2, "max_index_modulation": 1e-3}, material)
+        out = tmp_path / "out.json"
+        extra = ["--material", str(material)] if command == "feasibility" else []
+        capsys.readouterr()
+        assert main([command, "--plan", str(plan), *extra, "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "feasibility"])
+    def test_unknown_role_names_its_path(self, tmp_path, cnot_plan, capsys, command):
+        payload = load_json(cnot_plan)
+        payload["holograms"][0]["exposures"][0]["coefficients"][0]["mode"]["role"] = "idler"
+        cnot_plan.write_text(json.dumps(payload))
+        err = self.run(tmp_path, cnot_plan, command, capsys)
+        assert err.startswith(
+            "error: FileFormatError: plan.holograms[0].exposures[0].coefficients[0].mode: "
+            "unknown role 'idler'"
+        )
+
+    @pytest.mark.parametrize("index", [0, 5])
+    @pytest.mark.parametrize("command", ["simulate", "feasibility"])
+    def test_index_out_of_range_names_its_path(self, tmp_path, cnot_plan, capsys, command,
+                                               index):
+        payload = load_json(cnot_plan)
+        payload["holograms"][1]["exposures"][0]["partner"]["index"] = index
+        cnot_plan.write_text(json.dumps(payload))
+        err = self.run(tmp_path, cnot_plan, command, capsys)
+        assert err == (
+            "error: FileFormatError: plan.holograms[1].exposures[0].partner: "
+            f"no reference mode with index {index} (n = 4)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "feasibility"])
+    def test_repeated_mode_exits_2(self, tmp_path, cnot_plan, capsys, command):
+        # S3 at 0.6 and then at 1.0: the last entry alone has unit norm, so
+        # letting it replace the first would pass every later check.
+        payload = load_json(cnot_plan)
+        coefficients = payload["holograms"][0]["exposures"][0]["coefficients"]
+        assert coefficients == [{"mode": {"role": "signal", "index": 3}, "re": 1.0, "im": 0.0}]
+        coefficients.insert(0, {"mode": {"role": "signal", "index": 3}, "re": 0.6, "im": 0.0})
+        cnot_plan.write_text(json.dumps(payload))
+        err = self.run(tmp_path, cnot_plan, command, capsys)
+        assert err == (
+            "error: FileFormatError: plan.holograms[0].exposures[0].coefficients[1].mode: "
+            "listed twice in one exposure\n"
+        )
+
+
 class TestDimensionCap:
     def test_init_rejects_huge_dimension(self, tmp_path, capsys):
         out = tmp_path / "cfg"
         assert main(["init", "--dimension", "1000000000", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: InvalidGeometry: dimension must lie")
+        assert not out.exists()
+
+    def test_init_rejects_dimension_one(self, tmp_path, capsys):
+        # No plan reader accepts n = 1, so init writes no file for it.
+        out = tmp_path / "cfg"
+        assert main(["init", "--dimension", "1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: InvalidGeometry: a computational basis needs dimension >= 2\n"
+        )
         assert not out.exists()
 
     def test_init_accepts_the_cap(self, tmp_path):

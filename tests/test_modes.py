@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hologate.errors import InvalidGeometry
+from hologate.errors import InvalidGeometry, UnknownMode
 from hologate.modes import (
     MAX_DIMENSION,
     ConeGeometry,
@@ -89,10 +90,22 @@ class TestConeBasis:
             with pytest.raises(InvalidGeometry, match=r"dimension must lie in \[1, 256\]"):
                 geometry(n)
 
-    def test_universe_order(self):
-        modes = make_cone_basis(geometry(3))
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
+    def test_universe_order(self, n, modes2, modes4):
+        modes, twin = ModeSet(geometry(n)), ModeSet(geometry(n))
         assert modes.universe == modes.signals + modes.references
-        assert modes.position(modes.references[0]) == 3
+        for i, (mode, equal) in enumerate(zip(modes.universe, twin.universe)):
+            assert equal == mode and equal is not mode
+            assert modes.position(mode) == modes.position(equal) == modes.universe.index(mode) == i
+        assert modes.position(replace(modes.signals[-1], index=float(n))) == n - 1
+        k = modes.geometry.wavenumber
+        for foreign in (PlaneWaveMode(Role.SIGNAL, n + 1, 0.0, 0.08, k),
+                        PlaneWaveMode(Role.REFERENCE, n + 1, math.pi, 0.16, k), "signal 1"):
+            with pytest.raises(UnknownMode):
+                modes.position(foreign)
+        # Signal 2 of a 4-state basis sits at azimuth pi/2, which no n = 2 basis has.
+        with pytest.raises(UnknownMode):
+            modes2.position(modes4.signals[1])
 
 
 class TestWaveVector:
