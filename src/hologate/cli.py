@@ -184,7 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _output_space(stack: compiler.GratingStack) -> Role:
     if not stack.holograms:
         return Role.SIGNAL  # an empty stack leaves the light on the signal cone
-    return stack.holograms[-1].exposures[0].partner.role
+    last = stack.holograms[-1]._fringes
+    return last.modes[last.partner[0]].role
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

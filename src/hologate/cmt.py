@@ -72,6 +72,9 @@ _UNITARITY_TOL_PER_STEP = (TWO_PI / _STEPS_PER_CYCLE) ** 6 / 72.0
 #: Bytes of phase values `_integrate` holds at once: 16 per complex value,
 #: three per step and coupled entry.
 _PHASE_BUDGET_BYTES = 128 * 1024
+#: Most tilt samples `selectivity_sweep` takes.  Each one propagates the
+#: whole stack, so far larger counts would run for hours or fail to allocate.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,44 @@ def _pair_strength(delta_n: float, wavelength: float, a: PlaneWaveMode, b: Plane
     return math.pi * delta_n / (wavelength * obliquity)
 
 
+def _exposure_strengths(table, wavelength: float) -> tuple[np.ndarray, tuple[float, ...]]:
+    """kappa0 of every fringe, taken once per exposure and cone pair, and the
+    strength sqrt(sum (kappa0 |c|)^2) of every exposure, which
+    `optimal_thickness` tunes against."""
+    modes, delta_n = table.modes, table.delta_n.tolist()
+    per_cone: dict[tuple[int, float], float] = {}
+    kappa0, strength_sq = [], [0.0] * len(delta_n)
+    for e, p, m, weight in zip(table.row.tolist(), table.partner.tolist(),
+                               table.component.tolist(), table.weight.tolist()):
+        key = (e, modes[m].cone_half_angle)
+        if key not in per_cone:
+            per_cone[key] = k0 = _pair_strength(delta_n[e], wavelength, modes[p], modes[m])
+            # Squared below, where an overflow would raise OverflowError.
+            if not math.isfinite(k0 * k0):
+                raise ValueError(f"exposure modulation delta_n {delta_n[e]} gives coupling "
+                                 f"strength {k0:.3g} per metre, beyond float range")
+        kappa0.append(per_cone[key])
+        strength_sq[e] += (kappa0[-1] * weight) ** 2
+    return np.array(kappa0), tuple(math.sqrt(total) for total in strength_sq)
+
+
+def _strengths(hologram: Hologram, modes: ModeSet, material: MaterialSpec | None):
+    """`_exposure_strengths`, computed once per hologram and mode set.
+
+    Raises ValueError for an exposure above the material's modulation
+    ceiling or whose coupling strength squared overflows, and UnknownMode
+    for a mode outside the set.
+    """
+    table = hologram._fringes
+    ceiling = math.inf if material is None else material.max_index_modulation
+    for delta_n in table.delta_n.tolist():
+        if delta_n > ceiling:
+            raise ValueError(f"exposure modulation {delta_n} exceeds material ceiling {ceiling}")
+    table.positions(modes)  # raises UnknownMode outside the set
+    wavelength = modes.geometry.wavelength
+    return table.derived("strengths", modes, lambda: _exposure_strengths(table, wavelength))
+
+
 def _recorded_pairs(
     hologram: Hologram,
     modes: ModeSet,
@@ -138,38 +179,15 @@ def _recorded_pairs(
     """Validated recorded pairs of each exposure, and the exposure strengths.
 
     Per exposure: the partner's universe position and one (position,
-    coefficient, kappa0) entry per superposition component.  The strength
-    of an exposure is sqrt(sum (kappa0 |c|)^2), which `optimal_thickness`
-    tunes against.  Raises ValueError for an exposure above the material's
-    modulation ceiling or whose coupling strength squared overflows, and
-    UnknownMode (from `ModeSet.position`) for a mode outside the set.
+    coefficient, kappa0) entry per superposition component.  Raises as
+    `_strengths` does.
     """
-    wavelength = modes.geometry.wavelength
-    pairs = []
-    strengths = []
-    for exposure in hologram.exposures:
-        if material is not None and exposure.index_modulation > material.max_index_modulation:
-            raise ValueError(
-                f"exposure modulation {exposure.index_modulation} exceeds material "
-                f"ceiling {material.max_index_modulation}"
-            )
-        partner = modes.position(exposure.partner)
-        components = []
-        strength_sq = 0.0
-        for mode, coeff in exposure.coefficients.items():
-            position = modes.position(mode)
-            kappa0 = _pair_strength(exposure.index_modulation, wavelength, exposure.partner, mode)
-            # Squared below, where an overflow would raise OverflowError.
-            if not math.isfinite(kappa0 * kappa0):
-                raise ValueError(
-                    f"exposure modulation delta_n {exposure.index_modulation} gives "
-                    f"coupling strength {kappa0:.3g} per metre, beyond float range"
-                )
-            components.append((position, coeff, kappa0))
-            strength_sq += (kappa0 * abs(coeff)) ** 2
-        pairs.append((partner, components))
-        strengths.append(math.sqrt(strength_sq))
-    return pairs, tuple(strengths)
+    kappa0, strengths = _strengths(hologram, modes, material)
+    table = hologram._fringes
+    at = table.positions(modes)
+    fringes = list(zip(at[table.component].tolist(), table.coefficient.tolist(), kappa0.tolist()))
+    spans = zip(table.bounds, table.bounds[1:])
+    return [(int(at[table.partner[a]]), fringes[a:b]) for a, b in spans], strengths
 
 
 def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budget: int):
@@ -229,73 +247,71 @@ def build_coupling(
     wavelength = modes.geometry.wavelength
     transverse_tol = TWO_PI / modes.geometry.aperture_breadth
     universe = modes.universe
-    vectors = np.array([wave_vector(m) for m in universe])
+    vectors = modes.wave_vectors
     n = len(universe)
 
+    table = hologram._fringes
+    kappa0, strengths = _strengths(hologram, modes, material)
+    positions = table.positions(modes)
+    m, p = positions[table.component], positions[table.partner]
+    # The fringe phase factor exp(i (arg c + phi)), which every replay shares.
+    phasor = np.exp(1j * (np.angle(table.coefficient) + table.phase[table.row]))
+
+    # Pass 1: the recorded pairs, phase matched by construction, one fringe
+    # per orientation of a pair at most.  Adding into zeros, never assigning,
+    # turns a -0.0 part (the conjugate of a real coupling has one) into +0.0.
     kappa = np.zeros((n, n), dtype=complex)
-    xi = np.zeros((n, n))
+    value = kappa0 * table.weight * phasor
+    kappa[m, p] += value
+    kappa[p, m] += value.conj()
     recorded = np.zeros((n, n), dtype=bool)
+    recorded[m, p] = recorded[p, m] = True
+    # The first fringe on a pair sets xi[m, p] = 0.0 and xi[p, m] = -0.0; a
+    # later one on it, in the reverse orientation, sets nothing.
+    fringe = np.arange(len(m))
+    owner = np.full((n, n), len(m))
+    owner[m, p] = fringe
+    first = owner[p, m] > fringe
+    xi = np.zeros((n, n))
+    xi[p[first], m[first]] = -0.0
     # At most one detuning per unordered pair: later contributions merge
     # into the first, so per-pair detunings stay single-valued.
-    paired = np.zeros((n, n), dtype=bool)
-
-    def add(a: int, b: int, value: complex, is_recorded: bool, detuning: float) -> None:
-        if paired[a, b]:
-            if abs(xi[a, b] - detuning) > 1e-6:
-                # Two fringes drive this pair at different mismatch rates (a
-                # degeneracy of symmetric cone layouts: a grating can weakly
-                # address the antipodal recorded pair).  The better-matched
-                # fringe dominates the exchange by a factor kappa/xi, so the
-                # other is dropped; per-pair multi-fringe phases are outside
-                # this matrix-form model.
-                if not is_recorded:
-                    return
-                raise ValueError("conflicting detunings on one mode pair")
-        else:
-            paired[a, b] = paired[b, a] = True
-            xi[a, b] = detuning
-            xi[b, a] = -detuning
-        kappa[a, b] += value
-        kappa[b, a] += np.conj(value)
-        recorded[a, b] = recorded[b, a] = recorded[a, b] or is_recorded
-
-    exposures = hologram.exposures
-    pairs, strengths = _recorded_pairs(hologram, modes, material)
-
-    # One entry per fringe: exposure, partner p, component m, kappa0, |c| and
-    # the phase factor exp(i (arg c + phi)), which every replay shares.
-    fringes = [
-        (exposure, p, m, kappa0, abs(coeff), np.exp(1j * (np.angle(coeff) + exposure.phase)))
-        for exposure, (p, components) in zip(exposures, pairs)
-        for m, coeff, kappa0 in components
-    ]
-
-    # Pass 1: the recorded pairs, phase matched by construction.
-    for _, p, m, kappa0, weight, phasor in fringes:
-        add(m, p, kappa0 * weight * phasor, True, 0.0)
+    paired = recorded.copy()
 
     # Pass 2: parasitic replays of each fringe by other, nearly matched pairs.
-    gratings = vectors[[m for _, _, m, *_ in fringes]] - vectors[[p for _, p, *_ in fringes]]
+    gratings = vectors[m] - vectors[p]
     transverse = (vectors[:, None, :2] - vectors[None, :, :2]).reshape(n * n, 2)
     # A tiny aperture widens every window to all n**2 pairs; blocks of half
     # of one exposure's C * n**2 offsets then keep the search's memory small.
-    budget = n * n // 2 * max((len(components) for _, components in pairs), default=1)
+    budget = n * n // 2 * max(b - a for a, b in zip(table.bounds, table.bounds[1:]))
     candidate_bound = transverse_tol * (1.0 + 1e-9)
     search = _near_pairs(transverse, gratings[:, :2], candidate_bound, budget)
-    vecs, grats = vectors.tolist(), gratings.tolist()
+    vecs, grats, ms, ps = vectors.tolist(), gratings.tolist(), m.tolist(), p.tolist()
+    rows, weight, delta_n = table.row.tolist(), table.weight.tolist(), table.delta_n.tolist()
     for near_grating, near_pair in search:
         for g, ab in zip(near_grating.tolist(), near_pair.tolist()):
             a, b = divmod(ab, n)
-            exposure, p, m, _, weight, phasor = fringes[g]
-            if a == b or (a == m and b == p):
+            if a == b or (a == ms[g] and b == ps[g]):
                 continue
             (ax, ay, az), (bx, by, bz), (gx, gy, gz) = vecs[a], vecs[b], grats[g]
             if math.hypot(ax - bx - gx, ay - by - gy) >= transverse_tol:
                 continue
-            strength = _pair_strength(
-                exposure.index_modulation, wavelength, universe[a], universe[b]
-            )
-            add(a, b, strength * weight * phasor, False, az - bz - gz)
+            detuning = az - bz - gz
+            if not paired[a, b]:
+                paired[a, b] = paired[b, a] = True
+                xi[a, b], xi[b, a] = detuning, -detuning
+            elif abs(xi[a, b] - detuning) > 1e-6:
+                # Two fringes drive this pair at different mismatch rates (a
+                # degeneracy of symmetric cone layouts: a grating can weakly
+                # address the antipodal recorded pair).  The better-matched
+                # fringe dominates the exchange by a factor kappa/xi, so this
+                # replay is dropped, before its strength is taken; per-pair
+                # multi-fringe phases are outside this matrix-form model.
+                continue
+            strength = _pair_strength(delta_n[rows[g]], wavelength, universe[a], universe[b])
+            value = strength * weight[g] * phasor[g]
+            kappa[a, b] += value
+            kappa[b, a] += np.conj(value)
 
     return CouplingSystem(
         modes=universe,
@@ -498,7 +514,7 @@ def tune_stack(stack: GratingStack, material: MaterialSpec | None = None) -> Gra
     tuned = []
     for hologram in stack.holograms:
         if hologram.thickness is None:
-            _, strengths = _recorded_pairs(hologram, stack.mode_set, material)
+            _, strengths = _strengths(hologram, stack.mode_set, material)
             hologram = hologram.with_thickness(_tuned_thickness(strengths))
         tuned.append(hologram)
     return GratingStack(holograms=tuple(tuned), mode_set=stack.mode_set)
@@ -536,11 +552,12 @@ def simulate_stack(
 
 
 def _dominant_input(hologram: Hologram, modes: ModeSet) -> PlaneWaveMode:
-    exposure = hologram.exposures[0]
-    return max(
-        sorted(exposure.coefficients, key=modes.position),
-        key=lambda m: abs(exposure.coefficients[m]),
-    )
+    """The first exposure's largest component, the first in universe order on a tie."""
+    table = hologram._fringes
+    stop = table.bounds[1]
+    ranked = table.positions(modes)[table.component[:stop]].argsort()
+    best = ranked[table.weight[:stop][ranked].argmax()]
+    return table.modes[table.component[best]]
 
 
 def selectivity_sweep(
@@ -560,6 +577,8 @@ def selectivity_sweep(
     """
     if samples < 2:
         raise ValueError("a sweep needs at least 2 samples")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"a sweep takes at most {MAX_SAMPLES} samples, got {samples}")
     if not math.isfinite(tilt_range):
         raise ValueError(f"tilt range must be finite, got {tilt_range}")
     if tilt_range <= 0.0:

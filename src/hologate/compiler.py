@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -52,72 +55,153 @@ class Exposure:
     `coefficients` maps each superposition component to its complex
     amplitude; the argument of a coefficient is the fringe phase recorded
     for that component, and `phase` is a common offset added to all of
-    them (a rigid fringe shift).
+    them (a rigid fringe shift).  It is kept as a read-only mapping.
     """
 
     partner: PlaneWaveMode
-    coefficients: dict[PlaneWaveMode, complex]
+    coefficients: Mapping[PlaneWaveMode, complex]
     index_modulation: float = DEFAULT_INDEX_MODULATION
     phase: float = 0.0
 
     def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("exposure needs at least one superposition component")
-        if not 0.0 < self.index_modulation < math.inf:
-            raise ValueError(
-                f"index modulation must be positive and finite, got {self.index_modulation}"
-            )
-        if not math.isfinite(self.phase):
-            raise ValueError(f"exposure phase must be finite, got {self.phase}")
-        if self.partner in self.coefficients:
-            raise ValueError("partner wave cannot appear in its own superposition")
-        total = _norm_squared(self.coefficients)
-        if not abs(total - 1.0) <= _COEFF_NORM_TOL:
-            raise ValueError(f"superposition norm {total} is not 1")
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
+        c = self.coefficients
+        _check_exposure(c.values(), self.index_modulation, self.phase, self.partner, c)
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(c)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return Exposure, (self.partner, dict(self.coefficients), self.index_modulation, self.phase)
 
 
-def _norm_squared(coefficients: dict[PlaneWaveMode, complex]) -> float:
-    return sum(abs(c) * abs(c) for c in coefficients.values())
+def _check_exposure(values, index_modulation, phase, partner, components) -> None:
+    """An exposure's invariants; `partner in components` finds a partner in its superposition."""
+    if not values:
+        raise ValueError("exposure needs at least one superposition component")
+    if not 0.0 < index_modulation < math.inf:
+        raise ValueError(f"index modulation must be positive and finite, got {index_modulation}")
+    if not math.isfinite(phase):
+        raise ValueError(f"exposure phase must be finite, got {phase}")
+    if partner in components:
+        raise ValueError("partner wave cannot appear in its own superposition")
+    total = _norm_squared(values)
+    if not abs(total - 1.0) <= _COEFF_NORM_TOL:
+        raise ValueError(f"superposition norm {total} is not 1")
+
+
+def _norm_squared(values) -> float:
+    return sum(abs(c) * abs(c) for c in values)
+
+
+class _FringeTable:
+    """A hologram's exposures as flat arrays, one entry per fringe or per exposure.
+
+    Fringes run in exposure order, then in coefficient insertion order,
+    which the coupling build's merges, drops and float sums follow.
+    `component` and `partner` index `modes`; `row` is each fringe's
+    exposure, whose fringes are bounds[e]:bounds[e + 1].  `weight` is
+    Python's abs() of each coefficient (np.abs can differ in the last
+    bit).  What is derived from the table is kept with it, so every copy
+    of its hologram shares it.
+    """
+
+    def __init__(self, modes, exposures, components, coefficients):
+        """`exposures` holds (partner, fringe count, delta_n, phase) per exposure."""
+        partners, counts, delta_n, phase = zip(*exposures) if exposures else [()] * 4
+        self.modes: tuple[PlaneWaveMode, ...] = tuple(modes)
+        self.row = np.repeat(np.arange(len(counts)), counts)
+        self.bounds = tuple(accumulate(counts, initial=0))
+        self.component = np.asarray(components, dtype=np.intp)
+        self.partner = np.asarray(partners, dtype=np.intp)[self.row]
+        self.coefficient = np.array(coefficients, dtype=complex)
+        self.weight = np.array([abs(c) for c in coefficients], dtype=float)
+        self.delta_n, self.phase = np.array(delta_n, dtype=float), np.array(phase, dtype=float)
+        self._derived: dict[str, tuple[ModeSet | None, Any]] = {}
+
+    def derived(self, name: str, modes: ModeSet | None, compute: Callable[[], Any]) -> Any:
+        """compute(), kept under `name` for the last mode set it was asked for."""
+        held = self._derived.get(name)
+        if held is None or held[0] is not modes:
+            held = self._derived[name] = (modes, compute())
+        return held[1]
+
+    def positions(self, modes: ModeSet) -> np.ndarray:
+        """Universe position of each of `self.modes`; UnknownMode for one outside the set."""
+        return self.derived("positions", modes,
+                            lambda: np.array([modes.position(m) for m in self.modes], np.intp))
+
+    def exposures(self) -> tuple[Exposure, ...]:
+        def view(a: int, b: int, delta_n: float, phase: float) -> Exposure:
+            components = [self.modes[m] for m in self.component[a:b].tolist()]
+            values = dict(zip(components, self.coefficient[a:b].tolist()))
+            return Exposure(self.modes[self.partner[a]], values, delta_n, phase)
+
+        rows = zip(self.bounds, self.bounds[1:], self.delta_n.tolist(), self.phase.tolist())
+        return self.derived("exposures", None, lambda: tuple(view(*row) for row in rows))
+
+
+def _fringe_table(exposures) -> _FringeTable:
+    """The fringe table of `exposures`; equal modes share one entry of its `modes`."""
+    exposures, columns = tuple(exposures), {}
+    rows = [(columns.setdefault(e.partner, len(columns)), len(e.coefficients),
+             e.index_modulation, e.phase) for e in exposures]
+    components = [columns.setdefault(m, len(columns)) for e in exposures for m in e.coefficients]
+    values = [c for e in exposures for c in e.coefficients.values()]
+    return _FringeTable(columns, rows, components, values)
+
+
+def _gram(table: _FringeTable) -> np.ndarray:
+    matrix = np.zeros((len(table.delta_n), len(table.modes)), dtype=complex)
+    matrix[table.row, table.component] = table.coefficient
+    return np.abs(matrix.conj() @ matrix.T)
 
 
 def _overlap(exposures: tuple[Exposure, ...]) -> np.ndarray:
     """|<a|b>| for every pair of exposures, as one Gram matrix over the modes they use."""
-    columns: dict[PlaneWaveMode, int] = {}
-    rows = [{columns.setdefault(m, len(columns)): c for m, c in e.coefficients.items()}
-            for e in exposures]
-    matrix = np.zeros((len(rows), len(columns)), dtype=complex)
-    for i, row in enumerate(rows):
-        matrix[i, list(row)] = list(row.values())
-    return np.abs(matrix.conj() @ matrix.T)
+    return _gram(_fringe_table(exposures))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hologram:
     """A multiplexed element: one or more exposures sharing a slab of material.
 
     The exposures need distinct partner waves and mutually orthogonal
     superpositions.  Orthogonality is checked as one Gram matrix: every
     off-diagonal magnitude must stay within 1e-10.  `thickness` stays None
-    until the plan is tuned (see cmt.optimal_thickness).
+    until the plan is tuned (see cmt.optimal_thickness).  The exposures
+    are held once, as a fringe table, which the plan reader passes in
+    their place; `exposures` is a view of it.
     """
 
-    exposures: tuple[Exposure, ...]
-    thickness: float | None = None
-    label: str = ""
+    thickness: float | None
+    label: str
+    _fringes: _FringeTable = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exposures", tuple(self.exposures))
-        if not self.exposures:
-            raise ValueError(f"hologram {self.label!r} has an empty exposure list")
-        partners = [e.partner for e in self.exposures]
+    def __init__(self, exposures, thickness: float | None = None, label: str = ""):
+        table = exposures if isinstance(exposures, _FringeTable) else _fringe_table(exposures)
+        object.__setattr__(self, "_fringes", table)
+        object.__setattr__(self, "thickness", thickness)
+        object.__setattr__(self, "label", label)
+        if not len(table.delta_n):
+            raise ValueError(f"hologram {label!r} has an empty exposure list")
+        partners = table.partner[list(table.bounds[:-1])].tolist()
         if len(set(partners)) != len(partners):
             raise ValueError("exposures within one hologram need distinct partner waves")
-        gram = _overlap(self.exposures)
-        np.fill_diagonal(gram, 0.0)
-        if (gram > _ORTHOGONALITY_TOL).any():
-            raise ValueError("exposure superpositions within one hologram must be orthogonal")
-        _check_thickness(self.thickness)
+        if len(partners) > 1:
+            gram = _gram(table)
+            np.fill_diagonal(gram, 0.0)
+            if (gram > _ORTHOGONALITY_TOL).any():
+                raise ValueError("exposure superpositions within one hologram must be orthogonal")
+        _check_thickness(thickness)
+
+    @property
+    def exposures(self) -> tuple[Exposure, ...]:
+        return self._fringes.exposures()
+
+    def __eq__(self, other):
+        if not isinstance(other, Hologram):
+            return NotImplemented
+        return (self.exposures, self.thickness, self.label) == (
+            other.exposures, other.thickness, other.label
+        )
 
     def with_thickness(self, thickness: float) -> "Hologram":
         """This hologram at `thickness`; the exposures were validated already."""
@@ -142,9 +226,7 @@ class GratingStack:
     def __post_init__(self):
         object.__setattr__(self, "holograms", tuple(self.holograms))
         for hologram in self.holograms:
-            for exposure in hologram.exposures:
-                for mode in (exposure.partner, *exposure.coefficients):
-                    self.mode_set.position(mode)  # raises UnknownMode outside the set
+            hologram._fringes.positions(self.mode_set)  # raises UnknownMode outside the set
 
 
 @dataclass(frozen=True)
@@ -206,7 +288,7 @@ def compile_multiplex(
         for i in range(n)
     ]
     for i, coefficients in enumerate(rows):
-        total = _norm_squared(coefficients)
+        total = _norm_squared(coefficients.values())
         if not abs(total - 1.0) <= _COEFF_NORM_TOL:
             raise NotUnitary(
                 f"row {i + 1} has squared norm {total}, which is not within "
@@ -357,21 +439,18 @@ class FeasibilityReport:
     max_dimension: int
 
 
-def _smallest_grating_vector(modes: ModeSet, exposures: list[Exposure]) -> float:
+def _smallest_grating_vector(modes: ModeSet, tables: list[_FringeTable]) -> float:
     """Smallest |k_component - k_partner| over every recorded fringe; inf if none.
 
     The row norms of one (P, 3) difference array may differ from a
     per-row `np.linalg.norm` in the last bit, so that exact norm is taken
     again on the rows within 1e-12 relative of the smallest row norm.
     """
-    partners, components = [], []
-    for exposure in exposures:
-        partner = modes.position(exposure.partner)
-        for mode in exposure.coefficients:
-            partners.append(partner)
-            components.append(modes.position(mode))
-    if not partners:
+    if not tables:
         return math.inf
+    positions = [t.positions(modes) for t in tables]
+    components = np.concatenate([at[t.component] for t, at in zip(tables, positions)])
+    partners = np.concatenate([at[t.partner] for t, at in zip(tables, positions)])
     vectors = np.array([wave_vector(mode) for mode in modes.universe])
     differences = vectors[components] - vectors[partners]
     approximate = np.sqrt(np.einsum("ij,ij->i", differences, differences))
@@ -382,13 +461,13 @@ def _smallest_grating_vector(modes: ModeSet, exposures: list[Exposure]) -> float
 def feasibility_report(stack: GratingStack, material: MaterialSpec) -> FeasibilityReport:
     """Thickness, Bragg-regime, and selectivity budget for a plan."""
     geometry = stack.mode_set.geometry
-    exposures = [e for h in stack.holograms for e in h.exposures]
-    recordings = len(exposures)
+    tables = [h._fringes for h in stack.holograms]
+    recordings = sum(len(t.delta_n) for t in tables)
     required = recordings * material.meters_per_recording
     per_dimension = geometry.dimension * material.meters_per_recording
 
-    modulation_ok = all(e.index_modulation <= material.max_index_modulation for e in exposures)
-    smallest_k = _smallest_grating_vector(stack.mode_set, exposures)
+    modulation_ok = all((t.delta_n <= material.max_index_modulation).all() for t in tables)
+    smallest_k = _smallest_grating_vector(stack.mode_set, tables)
     if math.isfinite(smallest_k) and smallest_k > 0.0 and required > 0.0:
         period = TWO_PI / smallest_k
         q_ratio = required * geometry.wavelength / period**2

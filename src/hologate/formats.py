@@ -29,7 +29,7 @@ from .circuit import (
     QuantumCircuit,
 )
 from .cmt import TransferResult
-from .compiler import Exposure, GratingStack, Hologram, MaterialSpec
+from .compiler import GratingStack, Hologram, MaterialSpec, _check_exposure, _FringeTable
 from .errors import HologateError, UnknownMode
 from .metrics import FidelityReport
 from .modes import ConeGeometry, ModeSet, PlaneWaveMode, Role, make_cone_basis
@@ -298,40 +298,39 @@ def _mode_key(mode: PlaneWaveMode) -> dict:
     return {"role": mode.role.value, "index": mode.index}
 
 
-def _mode_from_key(parent: dict, key: str, context: str, modes: ModeSet) -> PlaneWaveMode:
-    """The mode that the object at parent[key] names; an unknown one names its path."""
+_ROLES = {role.value: role for role in Role}
+
+
+def _position_from_key(parent: dict, key: str, context: str, modes: ModeSet) -> int:
+    """Universe position of the mode that parent[key] names; an unknown one names its path."""
     payload = _field(parent, key, context, dict)
     context = f"{context}.{key}"
     name = _field(payload, "role", context, str)
+    role = _ROLES.get(name)
+    if role is None:
+        raise FileFormatError(f"{context}: unknown role {reprlib.repr(name)}")
+    index = _field(payload, "index", context, int)
     try:
-        role = Role(name)
-    except ValueError:
-        raise FileFormatError(f"{context}: unknown role {reprlib.repr(name)}") from None
-    try:
-        return modes.find(role, _field(payload, "index", context, int))
+        modes.find(role, index)
     except UnknownMode as exc:
         raise FileFormatError(f"{context}: {exc.args[0]} (n = {modes.dimension})") from None
+    return index - 1 + (0 if role is Role.SIGNAL else modes.dimension)
 
 
 def plan_to_dict(stack: GratingStack) -> dict:
     holograms = []
     for hologram in stack.holograms:
+        table = hologram._fringes
+        modes, coefficient, bounds = table.modes, table.coefficient.tolist(), table.bounds
         exposures = []
-        for exposure in hologram.exposures:
-            coefficients = [
-                {"mode": _mode_key(mode), "re": float(c.real), "im": float(c.imag)}
-                for mode, c in sorted(
-                    exposure.coefficients.items(), key=lambda kv: (kv[0].role.value, kv[0].index)
-                )
-            ]
-            exposures.append(
-                {
-                    "partner": _mode_key(exposure.partner),
-                    "coefficients": coefficients,
-                    "delta_n": exposure.index_modulation,
-                    "phase_rad": exposure.phase,
-                }
-            )
+        rows = zip(bounds, bounds[1:], table.delta_n.tolist(), table.phase.tolist())
+        for a, b, delta_n, phase in rows:
+            components = [modes[m] for m in table.component[a:b].tolist()]
+            fringes = sorted(zip(components, coefficient[a:b]),
+                             key=lambda mc: (mc[0].role.value, mc[0].index))
+            coefficients = [{"mode": _mode_key(m), "re": c.real, "im": c.imag} for m, c in fringes]
+            exposures.append({"partner": _mode_key(modes[table.partner[a]]),
+                              "coefficients": coefficients, "delta_n": delta_n, "phase_rad": phase})
         holograms.append(
             {
                 "label": hologram.label,
@@ -347,43 +346,40 @@ def plan_to_dict(stack: GratingStack) -> dict:
 
 
 def plan_from_dict(payload: dict) -> GratingStack:
+    """The plan's stack; each hologram's fringe table is filled straight from its rows."""
     if payload.get("format") != PLAN_FORMAT:
         raise FileFormatError(f"plan: expected format {PLAN_FORMAT!r}")
     modes = make_cone_basis(geometry_from_dict(_field(payload, "geometry", "plan", dict)))
     holograms = []
     for i, h_payload in enumerate(_field(payload, "holograms", "plan", list)):
         h_context = f"plan.holograms[{i}]"
-        exposures = []
+        exposures, components, coefficients = [], [], []
+        local: dict[int, int] = {}  # universe position -> entry of the table's modes
         for j, e_payload in enumerate(_field(h_payload, "exposures", h_context, list)):
             e_context = f"{h_context}.exposures[{j}]"
-            coefficients = {}
+            start, used = len(components), set()
             for k, c_payload in enumerate(_field(e_payload, "coefficients", e_context, list)):
                 c_context = f"{e_context}.coefficients[{k}]"
-                coefficients[_mode_from_key(c_payload, "mode", c_context, modes)] = complex(
-                    _field(c_payload, "re", c_context, float),
-                    _field(c_payload, "im", c_context, float),
-                )
-                if len(coefficients) == k:  # the entry replaced an earlier one
+                coefficients.append(complex(_field(c_payload, "re", c_context, float),
+                                            _field(c_payload, "im", c_context, float)))
+                position = _position_from_key(c_payload, "mode", c_context, modes)
+                if position in used:
                     raise FileFormatError(f"{c_context}.mode: listed twice in one exposure")
-            exposures.append(
-                Exposure(
-                    partner=_mode_from_key(e_payload, "partner", e_context, modes),
-                    coefficients=coefficients,
-                    index_modulation=_field(e_payload, "delta_n", e_context, float),
-                    phase=_field(e_payload, "phase_rad", e_context, float, 0.0),
-                )
-            )
+                used.add(position)
+                components.append(local.setdefault(position, len(local)))
+            partner = _position_from_key(e_payload, "partner", e_context, modes)
+            delta_n = _field(e_payload, "delta_n", e_context, float)
+            phase = _field(e_payload, "phase_rad", e_context, float, 0.0)
+            _check_exposure(coefficients[start:], delta_n, phase, partner, used)
+            exposures.append((local.setdefault(partner, len(local)), len(components) - start,
+                              delta_n, phase))
         # null, as written for an untuned hologram, leaves the thickness unset.
         thickness = h_payload.get("thickness_m")
         if thickness is not None:
             thickness = _field(h_payload, "thickness_m", h_context, float)
-        holograms.append(
-            Hologram(
-                exposures=tuple(exposures),
-                thickness=thickness,
-                label=_field(h_payload, "label", h_context, str, ""),
-            )
-        )
+        used_modes = [modes.universe[p] for p in local]
+        table = _FringeTable(used_modes, exposures, components, coefficients)
+        holograms.append(Hologram(table, thickness, _field(h_payload, "label", h_context, str, "")))
     return GratingStack(holograms=tuple(holograms), mode_set=modes)
 
 

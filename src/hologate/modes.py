@@ -15,6 +15,7 @@ k * (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta)).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -75,8 +76,8 @@ class ConeGeometry:
     The two half angles must differ; equal cones would make signal and
     reference waves indistinguishable to the grating.  ``ModeSet(geometry)``
     builds the bases for any ``dimension`` from 1 to ``MAX_DIMENSION``;
-    ``make_cone_basis`` asks for a computational basis, N >= 2, while 1
-    serves degenerate single-pair plans.
+    ``make_cone_basis``, which every plan reader and command uses, asks for
+    a computational basis, N >= 2.
     """
 
     dimension: int
@@ -165,6 +166,13 @@ class ModeSet:
     def universe(self) -> tuple[PlaneWaveMode, ...]:
         """Canonical ordering of all 2N modes: signals 1..N, then references 1..N."""
         return self.signals + self.references
+
+    @functools.cached_property
+    def wave_vectors(self) -> np.ndarray:
+        """(2N, 3) wave vectors of `universe`, in its order; read-only, built once."""
+        vectors = np.array([wave_vector(mode) for mode in self.universe])
+        vectors.flags.writeable = False
+        return vectors
 
     def find(self, role: Role, index: int) -> PlaneWaveMode:
         listing = self.signals if role is Role.SIGNAL else self.references

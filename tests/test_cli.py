@@ -194,6 +194,25 @@ class TestOtherCommands:
         assert lines[0] == "tilt_rad,efficiency"
         assert len(lines) == 8
 
+    @pytest.mark.parametrize("samples", [10**13, cmt.MAX_SAMPLES + 1])
+    def test_sweep_sample_count_above_the_ceiling_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                          samples):
+        assert main(["cnot-demo", "--out-dir", str(tmp_path / "demo")]) == 0
+        capsys.readouterr()
+
+        # Refused before any tuning or coupling build, so nothing is allocated.
+        def never(*args, **kwargs):
+            raise AssertionError("a refused sweep tuned or built a hologram")
+
+        monkeypatch.setattr(cmt, "tune_stack", never)
+        monkeypatch.setattr(cmt, "build_coupling", never)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--plan", str(tmp_path / "demo" / "plan.json"),
+                     "--tilt-range", "0.001", "--samples", str(samples), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and f"at most {cmt.MAX_SAMPLES} samples" in err
+        assert not out.exists()
+
     def test_feasibility_report(self, tmp_path, config_dir):
         target = tmp_path / "u.json"
         write_matrix(target, haar_unitary(8, np.random.default_rng(3)))
@@ -406,6 +425,18 @@ class TestDemos:
         report = load_json(tmp_path / "out" / "report.json")
         assert report["pass"] is True
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("demo", ["cnot-demo", "teleport-demo"])
+    def test_simulating_the_written_plan_reproduces_the_result(self, tmp_path, demo):
+        # The demo simulates its in-process stack (numpy coefficients in
+        # compile order); simulate reads the written plan (Python complex
+        # values in file order, reference components first).  Both must
+        # give the same bytes.
+        out = tmp_path / "out"
+        assert main([demo, "--out-dir", str(out)]) == 0
+        assert main(["simulate", "--plan", str(out / "plan.json"),
+                     "--out", str(tmp_path / "sim.json")]) == 0
+        assert (tmp_path / "sim.json").read_bytes() == (out / "result.json").read_bytes()
 
     def test_demo_with_explicit_config(self, tmp_path, config_dir):
         assert main([
