@@ -128,19 +128,15 @@ def validate_circuit(circuit: QuantumCircuit) -> None:
         if isinstance(element, Measurement):
             _check_wire(element.wire, circuit.width)
             measured.add(element.wire)
-        elif isinstance(element, Gate):
-            for w in element.wires:
+        elif isinstance(element, (Gate, ClassicallyControlledGate)):
+            gate, message = element, "gate acts on wire {} after it was measured"
+            if isinstance(element, ClassicallyControlledGate):
+                _check_wire(element.source_wire, circuit.width)
+                gate, message = element.gate, "classically controlled gate targets measured wire {}"
+            for w in gate.wires:
                 _check_wire(w, circuit.width)
                 if w in measured:
-                    raise MalformedCircuit(f"gate acts on wire {w} after it was measured")
-        elif isinstance(element, ClassicallyControlledGate):
-            _check_wire(element.source_wire, circuit.width)
-            for w in element.gate.wires:
-                _check_wire(w, circuit.width)
-                if w in measured:
-                    raise MalformedCircuit(
-                        f"classically controlled gate targets measured wire {w}"
-                    )
+                    raise MalformedCircuit(message.format(w))
         else:
             raise MalformedCircuit(f"unknown circuit element {element!r}")
 
@@ -155,48 +151,31 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
         ) from None
 
 
-def _embed_on_basis(
-    payload: np.ndarray,
-    targets: tuple[int, ...],
-    controls: tuple[int, ...],
-    width: int,
-) -> np.ndarray:
-    """Lift `payload` (acting on `targets`, gated by `controls`) to 2**width."""
-    dim = 1 << width
-    out = np.zeros((dim, dim), dtype=complex)
-    target_bits = [width - w for w in targets]  # first target = payload MSB
-    control_bits = [width - w for w in controls]
-    for col in range(dim):
-        if any(not (col >> b) & 1 for b in control_bits):
-            out[col, col] = 1.0
-            continue
-        sub_in = 0
-        for b in target_bits:
-            sub_in = (sub_in << 1) | ((col >> b) & 1)
-        base = col
-        for b in target_bits:
-            base &= ~(1 << b)
-        for sub_out in range(payload.shape[0]):
-            amp = payload[sub_out, sub_in]
-            if amp == 0:
-                continue
-            row, s = base, sub_out
-            for b in reversed(target_bits):
-                row |= (s & 1) << b
-                s >>= 1
-            out[row, col] += amp
-    return out
+def _wire_matrix(gate: Gate) -> np.ndarray:
+    """A new array: the gate's 2**k matrix on its k wires in wire order, controls included."""
+    if gate.kind is GateKind.CONTROLLED_U:
+        half = gate.payload.shape[0]
+        matrix = np.eye(2 * half, dtype=complex)
+        matrix[half:, half:] = gate.payload
+        return matrix
+    return _FIXED_MATRICES[gate.kind].copy()
 
 
 def embed_gate(gate: Gate, width: int) -> np.ndarray:
     """Full 2**width unitary of a gate placed on its wires."""
     for w in gate.wires:
         _check_wire(w, width)
-    if gate.kind is GateKind.CNOT:
-        return _embed_on_basis(PAULI_X, (gate.wires[1],), (gate.wires[0],), width)
-    if gate.kind is GateKind.CONTROLLED_U:
-        return _embed_on_basis(gate.payload, gate.wires[1:], (gate.wires[0],), width)
-    return _embed_on_basis(_FIXED_MATRICES[gate.kind], gate.wires, (), width)
+    dim, matrix = 1 << width, _wire_matrix(gate)
+    place = [0]  # the register index of each matrix index; wire w is bit width - w
+    for w in gate.wires:  # the first wire is the matrix index's top bit
+        place = [p | bit for p in place for bit in (0, 1 << (width - w))]
+    rows, cols = np.nonzero(matrix)
+    entries = [place[r] * dim + place[c] for r, c in zip(rows.tolist(), cols.tolist())]
+    # Each entry recurs at offset i * dim + i for every index i with the gate's wires at 0.
+    flat = np.array([[i * (dim + 1) + e for e in entries] for i in range(dim) if not i & place[-1]])
+    out = np.zeros((dim, dim), dtype=complex)
+    out.reshape(-1)[flat] += matrix[rows, cols]  # adding into zeros makes -0.0 parts +0.0
+    return out
 
 
 def defer_measurements(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -221,18 +200,10 @@ def defer_measurements(circuit: QuantumCircuit) -> QuantumCircuit:
                     f"classical control reads wire {element.source_wire} "
                     "before it is measured"
                 )
-            inner = element.gate
-            if inner.kind is GateKind.CONTROLLED_U:
-                # The inner control becomes part of the payload so the
-                # measurement wire can take over as the outer control.
-                half = inner.payload.shape[0]
-                payload = np.eye(2 * half, dtype=complex)
-                payload[half:, half:] = inner.payload
-            else:
-                payload = gate_matrix(inner.kind)
-            gates.append(
-                Gate(GateKind.CONTROLLED_U, (element.source_wire, *inner.wires), payload)
-            )
+            # A controlled-U's own control joins its payload, so the
+            # measurement wire can take over as the outer control.
+            wires, payload = (element.source_wire, *element.gate.wires), _wire_matrix(element.gate)
+            gates.append(Gate(GateKind.CONTROLLED_U, wires, payload))
         else:
             gates.append(element)
     return QuantumCircuit(circuit.width, (*gates, *measurements))
@@ -409,16 +380,10 @@ def measurement_distribution(
             ]
         else:
             next_branches = []
+            bit = (np.arange(len(state)) >> (circuit.width - element.wire)) & 1
             for s, rec, out in branches:
-                # Axis w-1 of the reshaped state is wire w (wire 1 = MSB).
-                shaped = s.reshape([2] * circuit.width)
                 for value in (0, 1):
-                    proj = np.zeros_like(shaped)
-                    idx = [slice(None)] * circuit.width
-                    idx[element.wire - 1] = value
-                    proj[tuple(idx)] = shaped[tuple(idx)]
-                    next_branches.append(
-                        (proj.reshape(-1), {**rec, element.wire: value}, (*out, value))
-                    )
+                    proj = np.where(bit == value, s, 0)
+                    next_branches.append((proj, {**rec, element.wire: value}, (*out, value)))
             branches = next_branches
     return {out: float(np.vdot(s, s).real) for s, rec, out in branches}

@@ -323,27 +323,6 @@ def compile_redirection(
     return Hologram(exposures=exposures, label=label)
 
 
-def _single_exposure(
-    partner: PlaneWaveMode,
-    component: PlaneWaveMode,
-    coefficient: complex,
-    index_modulation: float,
-    phase: float,
-    label: str,
-) -> Hologram:
-    return Hologram(
-        exposures=(
-            Exposure(
-                partner=partner,
-                coefficients={component: coefficient},
-                index_modulation=index_modulation,
-                phase=phase,
-            ),
-        ),
-        label=label,
-    )
-
-
 def _signed_permutation_entries(unitary: np.ndarray, n: int) -> list[tuple[int, int, complex]]:
     """(row, col, entry) per column; rejects anything but a phased permutation."""
     entries = []
@@ -389,25 +368,31 @@ def compile_signed_permutation_stack(
         if row == col and abs(entry - 1.0) <= 1e-12:
             continue  # identity column: passes through undiffracted
         holograms.append(
-            _single_exposure(
-                modes.references[row],
-                modes.signals[col],
-                np.conj(entry),
-                index_modulation,
-                0.0,
-                f"forward S{col + 1}->R{row + 1}",
+            Hologram(
+                (
+                    Exposure(
+                        partner=modes.references[row],
+                        coefficients={modes.signals[col]: np.conj(entry)},
+                        index_modulation=index_modulation,
+                        phase=0.0,
+                    ),
+                ),
+                label=f"forward S{col + 1}->R{row + 1}",
             )
         )
         returns.append(row)
     for row in sorted(returns):
         holograms.append(
-            _single_exposure(
-                modes.signals[row],
-                modes.references[row],
-                1.0,
-                index_modulation,
-                math.pi,
-                f"return R{row + 1}->S{row + 1}",
+            Hologram(
+                (
+                    Exposure(
+                        partner=modes.signals[row],
+                        coefficients={modes.references[row]: 1.0},
+                        index_modulation=index_modulation,
+                        phase=math.pi,
+                    ),
+                ),
+                label=f"return R{row + 1}->S{row + 1}",
             )
         )
     return GratingStack(holograms=tuple(holograms), mode_set=modes)

@@ -263,7 +263,7 @@ class TestOtherCommands:
 
 
 class TestBuildCounts:
-    """Every command builds each hologram's coupling exactly once."""
+    """`verify`, `simulate` and `sweep` build each hologram's coupling exactly once."""
 
     @pytest.fixture()
     def plan(self, tmp_path):

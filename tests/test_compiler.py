@@ -257,10 +257,10 @@ class TestPlanInvariants:
     def test_with_thickness_does_not_revalidate_exposures(self, modes4, monkeypatch):
         hologram = compile_multiplex(CNOT_MATRIX, modes4)
 
-        def revalidated(a, b):
+        def revalidated(table):
             raise AssertionError("with_thickness re-ran the orthogonality check")
 
-        monkeypatch.setattr(compiler, "_overlap", revalidated)
+        monkeypatch.setattr(compiler, "_gram", revalidated)
         tuned = hologram.with_thickness(2e-3)
         assert tuned.thickness == 2e-3
         assert hologram.thickness is None
