@@ -73,11 +73,10 @@ class Exposure:
 
 
 def _check_exposure(values, index_modulation, phase, partner, components) -> None:
-    """An exposure's invariants; `partner in components` finds a partner in its superposition."""
+    """An exposure's invariants; partner and components are modes or universe positions."""
     if not values:
         raise ValueError("exposure needs at least one superposition component")
-    if not 0.0 < index_modulation < math.inf:
-        raise ValueError(f"index modulation must be positive and finite, got {index_modulation}")
+    _check_index_modulation(index_modulation)
     if not math.isfinite(phase):
         raise ValueError(f"exposure phase must be finite, got {phase}")
     if partner in components:
@@ -85,6 +84,11 @@ def _check_exposure(values, index_modulation, phase, partner, components) -> Non
     total = _norm_squared(values)
     if not abs(total - 1.0) <= _COEFF_NORM_TOL:
         raise ValueError(f"superposition norm {total} is not 1")
+
+
+def _check_index_modulation(index_modulation) -> None:
+    if not 0.0 < index_modulation < math.inf:
+        raise ValueError(f"index modulation must be positive and finite, got {index_modulation}")
 
 
 def _norm_squared(values) -> float:
@@ -103,10 +107,21 @@ class _FringeTable:
     of its hologram shares it.
     """
 
-    def __init__(self, modes, exposures, components, coefficients):
-        """`exposures` holds (partner, fringe count, delta_n, phase) per exposure."""
+    def __init__(self, universe, rows):
+        """The one filler of a table: rows of (partner, components, coefficients, delta_n, phase).
+
+        Modes are positions in `universe`, kept in `modes` in first use (components, then
+        partner); each row passes `_check_exposure` before the next row is read.
+        """
+        local: dict[int, int] = {}  # universe position -> entry of `modes`
+        exposures, components, coefficients = [], [], []
+        for partner, positions, values, delta_n, phase in rows:
+            _check_exposure(values, delta_n, phase, partner, positions)
+            components += [local.setdefault(m, len(local)) for m in positions]
+            coefficients += values
+            exposures.append((local.setdefault(partner, len(local)), len(values), delta_n, phase))
         partners, counts, delta_n, phase = zip(*exposures) if exposures else [()] * 4
-        self.modes: tuple[PlaneWaveMode, ...] = tuple(modes)
+        self.modes: tuple[PlaneWaveMode, ...] = tuple(universe[p] for p in local)
         self.row = np.repeat(np.arange(len(counts)), counts)
         self.bounds = tuple(accumulate(counts, initial=0))
         self.component = np.asarray(components, dtype=np.intp)
@@ -140,12 +155,11 @@ class _FringeTable:
 
 def _fringe_table(exposures) -> _FringeTable:
     """The fringe table of `exposures`; equal modes share one entry of its `modes`."""
-    exposures, columns = tuple(exposures), {}
-    rows = [(columns.setdefault(e.partner, len(columns)), len(e.coefficients),
-             e.index_modulation, e.phase) for e in exposures]
-    components = [columns.setdefault(m, len(columns)) for e in exposures for m in e.coefficients]
-    values = [c for e in exposures for c in e.coefficients.values()]
-    return _FringeTable(columns, rows, components, values)
+    columns: dict[PlaneWaveMode, int] = {}
+    rows = [(columns.setdefault(e.partner, len(columns)),
+             [columns.setdefault(m, len(columns)) for m in e.coefficients],
+             list(e.coefficients.values()), e.index_modulation, e.phase) for e in exposures]
+    return _FringeTable(list(columns), rows)
 
 
 def _gram(table: _FringeTable) -> np.ndarray:
@@ -167,8 +181,8 @@ class Hologram:
     superpositions.  Orthogonality is checked as one Gram matrix: every
     off-diagonal magnitude must stay within 1e-10.  `thickness` stays None
     until the plan is tuned (see cmt.optimal_thickness).  The exposures
-    are held once, as a fringe table, which the plan reader passes in
-    their place; `exposures` is a view of it.
+    are held once, as a fringe table, which the compilers and the plan
+    reader pass in their place; `exposures` is a view of it.
     """
 
     thickness: float | None
@@ -279,30 +293,20 @@ def compile_multiplex(
     """
     n = modes.dimension
     unitary = as_unitary(unitary, n)
-    rows = [
-        {
-            modes.signals[j]: np.conj(unitary[i, j])
-            for j in range(n)
-            if abs(unitary[i, j]) > _NEGLIGIBLE_COEFF
-        }
-        for i in range(n)
-    ]
-    for i, coefficients in enumerate(rows):
-        total = _norm_squared(coefficients.values())
+    signal_positions = [modes.position(mode) for mode in modes.signals]
+    rows = []
+    for i, partner in enumerate(modes.references):
+        kept = [j for j in range(n) if abs(unitary[i, j]) > _NEGLIGIBLE_COEFF]
+        values = [np.conj(unitary[i, j]) for j in kept]
+        total = _norm_squared(values)
         if not abs(total - 1.0) <= _COEFF_NORM_TOL:
             raise NotUnitary(
                 f"row {i + 1} has squared norm {total}, which is not within "
                 f"{_COEFF_NORM_TOL:g} of 1, so it cannot be recorded as one exposure"
             )
-    exposures = tuple(
-        Exposure(
-            partner=modes.references[i],
-            coefficients=coefficients,
-            index_modulation=index_modulation,
-        )
-        for i, coefficients in enumerate(rows)
-    )
-    return Hologram(exposures=exposures, label=label)
+        rows.append((modes.position(partner), [signal_positions[j] for j in kept], values,
+                     index_modulation, 0.0))
+    return Hologram(_FringeTable(modes.universe, rows), label=label)
 
 
 def compile_redirection(
@@ -312,15 +316,9 @@ def compile_redirection(
     label: str = "redirection",
 ) -> Hologram:
     """Hologram mapping each reference wave back onto its signal partner."""
-    exposures = tuple(
-        Exposure(
-            partner=signal,
-            coefficients={reference: 1.0 + 0.0j},
-            index_modulation=index_modulation,
-        )
-        for signal, reference in zip(modes.signals, modes.references)
-    )
-    return Hologram(exposures=exposures, label=label)
+    rows = [(modes.position(signal), [modes.position(reference)], [1.0 + 0.0j],
+             index_modulation, 0.0) for signal, reference in zip(modes.signals, modes.references)]
+    return Hologram(_FringeTable(modes.universe, rows), label=label)
 
 
 def _signed_permutation_entries(unitary: np.ndarray, n: int) -> list[tuple[int, int, complex]]:
@@ -362,39 +360,23 @@ def compile_signed_permutation_stack(
             f"matrix shape {unitary.shape} does not match mode dimension {n}"
         )
     entries = _signed_permutation_entries(unitary, n)
+    _check_index_modulation(index_modulation)  # also when every column is an identity column
+
+    def grating(target, source, value, phase, label):  # replaying `source` gives `target`
+        fringe = modes.position(target), [modes.position(source)], [value], index_modulation, phase
+        return Hologram(_FringeTable(modes.universe, [fringe]), label=label)
+
     holograms: list[Hologram] = []
     returns: list[int] = []
     for row, col, entry in entries:
         if row == col and abs(entry - 1.0) <= 1e-12:
             continue  # identity column: passes through undiffracted
-        holograms.append(
-            Hologram(
-                (
-                    Exposure(
-                        partner=modes.references[row],
-                        coefficients={modes.signals[col]: np.conj(entry)},
-                        index_modulation=index_modulation,
-                        phase=0.0,
-                    ),
-                ),
-                label=f"forward S{col + 1}->R{row + 1}",
-            )
-        )
+        holograms.append(grating(modes.references[row], modes.signals[col], np.conj(entry), 0.0,
+                                 f"forward S{col + 1}->R{row + 1}"))
         returns.append(row)
     for row in sorted(returns):
-        holograms.append(
-            Hologram(
-                (
-                    Exposure(
-                        partner=modes.signals[row],
-                        coefficients={modes.references[row]: 1.0},
-                        index_modulation=index_modulation,
-                        phase=math.pi,
-                    ),
-                ),
-                label=f"return R{row + 1}->S{row + 1}",
-            )
-        )
+        holograms.append(grating(modes.signals[row], modes.references[row], 1.0, math.pi,
+                                 f"return R{row + 1}->S{row + 1}"))
     return GratingStack(holograms=tuple(holograms), mode_set=modes)
 
 

@@ -29,7 +29,7 @@ from .circuit import (
     QuantumCircuit,
 )
 from .cmt import TransferResult
-from .compiler import GratingStack, Hologram, MaterialSpec, _check_exposure, _FringeTable
+from .compiler import GratingStack, Hologram, MaterialSpec, _FringeTable
 from .errors import HologateError, UnknownMode
 from .metrics import FidelityReport
 from .modes import ConeGeometry, ModeSet, PlaneWaveMode, Role, make_cone_basis
@@ -350,14 +350,11 @@ def plan_from_dict(payload: dict) -> GratingStack:
     if payload.get("format") != PLAN_FORMAT:
         raise FileFormatError(f"plan: expected format {PLAN_FORMAT!r}")
     modes = make_cone_basis(geometry_from_dict(_field(payload, "geometry", "plan", dict)))
-    holograms = []
-    for i, h_payload in enumerate(_field(payload, "holograms", "plan", list)):
-        h_context = f"plan.holograms[{i}]"
-        exposures, components, coefficients = [], [], []
-        local: dict[int, int] = {}  # universe position -> entry of the table's modes
+
+    def rows(h_payload: dict, h_context: str):  # universe positions, read as the table asks
         for j, e_payload in enumerate(_field(h_payload, "exposures", h_context, list)):
             e_context = f"{h_context}.exposures[{j}]"
-            start, used = len(components), set()
+            components, coefficients, used = [], [], set()
             for k, c_payload in enumerate(_field(e_payload, "coefficients", e_context, list)):
                 c_context = f"{e_context}.coefficients[{k}]"
                 coefficients.append(complex(_field(c_payload, "re", c_context, float),
@@ -366,19 +363,20 @@ def plan_from_dict(payload: dict) -> GratingStack:
                 if position in used:
                     raise FileFormatError(f"{c_context}.mode: listed twice in one exposure")
                 used.add(position)
-                components.append(local.setdefault(position, len(local)))
+                components.append(position)
             partner = _position_from_key(e_payload, "partner", e_context, modes)
             delta_n = _field(e_payload, "delta_n", e_context, float)
             phase = _field(e_payload, "phase_rad", e_context, float, 0.0)
-            _check_exposure(coefficients[start:], delta_n, phase, partner, used)
-            exposures.append((local.setdefault(partner, len(local)), len(components) - start,
-                              delta_n, phase))
+            yield partner, components, coefficients, delta_n, phase
+
+    holograms = []
+    for i, h_payload in enumerate(_field(payload, "holograms", "plan", list)):
+        h_context = f"plan.holograms[{i}]"
+        table = _FringeTable(modes.universe, rows(h_payload, h_context))
         # null, as written for an untuned hologram, leaves the thickness unset.
         thickness = h_payload.get("thickness_m")
         if thickness is not None:
             thickness = _field(h_payload, "thickness_m", h_context, float)
-        used_modes = [modes.universe[p] for p in local]
-        table = _FringeTable(used_modes, exposures, components, coefficients)
         holograms.append(Hologram(table, thickness, _field(h_payload, "label", h_context, str, "")))
     return GratingStack(holograms=tuple(holograms), mode_set=modes)
 

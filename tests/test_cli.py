@@ -388,6 +388,23 @@ class TestNonFiniteInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_stacked_identity_rejects_a_bad_delta_n(self, tmp_path, capsys, value):
+        # The identity records no grating, so no exposure check sees --delta-n.
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "4", "--out-dir", str(cfg)])
+        write_matrix(cfg / "eye.json", np.eye(4))
+        capsys.readouterr()
+        out = tmp_path / "plan.json"
+        code = main(["compile", "--layout", "stacked", "--unitary", str(cfg / "eye.json"),
+                     "--geometry", str(cfg / "geometry.json"), "--out", str(out),
+                     f"--delta-n={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: ValueError: index modulation must be positive and finite, "
+                       f"got {float(value)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("key, field", [
         ("max_total_thickness_m", "max_total_thickness"),

@@ -7,9 +7,10 @@ a superposition on both cones, a pair recorded in both orientations, an
 explicit zero coefficient and modes from a separately built, equal mode
 set.  Each must give `test_coupling_oracle.reference_build`'s bytes.
 
-The counting tests pin the work the table saves: one `verify` takes each
-hologram's exposure strengths once, and a replay dropped as degenerate
-never has its coupling strength computed.
+The counting tests pin the work the table saves: the compilers fill it
+from universe positions without hashing a mode or building an `Exposure`,
+one `verify` takes each hologram's exposure strengths once, and a replay
+dropped as degenerate never has its coupling strength computed.
 """
 
 import copy
@@ -28,9 +29,10 @@ from hologate.compiler import (
     Hologram,
     compile_multiplex,
     compile_redirection,
+    compile_signed_permutation_stack,
 )
 from hologate.formats import dump_json, load_json, matrix_to_dict, plan_from_dict, plan_to_dict
-from hologate.modes import ModeSet, make_cone_basis
+from hologate.modes import ModeSet, PlaneWaveMode, make_cone_basis
 
 from conftest import geometry, haar_unitary
 from test_coupling_oracle import reference_build
@@ -119,6 +121,32 @@ def test_plan_survives_pickle_and_deepcopy(material):
         assert copied == hologram
         ours = build_coupling(copied, modes, material)
         assert ours.kappa.tobytes() == build_coupling(hologram, modes, material).kappa.tobytes()
+
+
+def test_compilers_hash_no_mode_and_build_no_exposure(monkeypatch):
+    modes = make_cone_basis(geometry(16))
+    rng = np.random.default_rng(12)
+    permutation = np.eye(16)[rng.permutation(16)] * np.exp(0.3j)
+    hashes, built = [], []
+    mode_hash, exposure_init = PlaneWaveMode.__hash__, Exposure.__init__
+
+    def counted_hash(mode):
+        hashes.append(mode)
+        return mode_hash(mode)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        exposure_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneWaveMode, "__hash__", counted_hash)
+    monkeypatch.setattr(Exposure, "__init__", counted_init)
+    compile_multiplex(haar_unitary(16, rng), modes)
+    compile_redirection(modes)
+    assert len(compile_signed_permutation_stack(permutation, modes).holograms) == 32
+    assert hashes == [] and built == []
+    # The counters see the public path, which builds an Exposure and keys it by mode.
+    Hologram((Exposure(modes.references[0], {modes.signals[0]: 1.0}),))
+    assert hashes and len(built) == 1
 
 
 @pytest.fixture()
