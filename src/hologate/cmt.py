@@ -72,6 +72,8 @@ _UNITARITY_TOL_PER_STEP = (TWO_PI / _STEPS_PER_CYCLE) ** 6 / 72.0
 #: Bytes of phase values `_integrate` holds at once: 16 per complex value,
 #: three per step and coupled entry.
 _PHASE_BUDGET_BYTES = 128 * 1024
+#: Bytes of the n x n complex transfers of a batch of tilts `selectivity_sweep` runs at once.
+_BATCH_BYTES = 4 * 1024 * 1024
 #: Most tilt samples `selectivity_sweep` takes.  Each one propagates the
 #: whole stack, so far larger counts would run for hours or fail to allocate.
 MAX_SAMPLES = 100_000
@@ -347,24 +349,31 @@ def _hermitian_exp(matrix: np.ndarray, thickness: float) -> np.ndarray:
     return (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
 
 
+def _tilt_shift(modes: tuple, tilt: float, tilt_mode: PlaneWaveMode | None) -> np.ndarray:
+    """k_z(tilted) - k_z(untilted) of each mode; every mode tilts when `tilt_mode` is None."""
+    shift = np.zeros(len(modes))
+    for n, mode in enumerate(modes):
+        if tilt_mode is None or mode == tilt_mode:
+            tilted = replace(mode, cone_half_angle=mode.cone_half_angle + tilt)
+            shift[n] = wave_vector(tilted)[2] - wave_vector(mode)[2]
+    return shift
+
+
 def _select_system(
     system: CouplingSystem,
     include_crosstalk: bool,
     tilt: float,
     tilt_mode: PlaneWaveMode | None,
+    shift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """kappa and xi restricted to the requested couplings, tilt applied.
 
-    A tilt adds shift_a - shift_b to xi_ab, where shift_n is k_z(tilted)
-    - k_z(untilted) for a tilted mode and zero otherwise.
+    A tilt adds shift_a - shift_b to xi_ab, with `shift` from `_tilt_shift`
+    (taken here when not given).
     """
     xi = system.xi
     if tilt != 0.0:
-        shift = np.zeros(len(system.modes))
-        for n, mode in enumerate(system.modes):
-            if tilt_mode is None or mode == tilt_mode:
-                tilted = replace(mode, cone_half_angle=mode.cone_half_angle + tilt)
-                shift[n] = wave_vector(tilted)[2] - wave_vector(mode)[2]
+        shift = _tilt_shift(system.modes, tilt, tilt_mode) if shift is None else shift
         xi = xi + (shift[:, None] - shift[None, :])
     mask = system.recorded_mask if not include_crosstalk else (
         system.recorded_mask | (system.kappa != 0.0)
@@ -420,34 +429,37 @@ def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float) -> int:
 def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) -> np.ndarray:
     """Classical fixed-step RK4 on the full propagator across the slab.
 
-    kappa * exp(i xi z) is formed only on the coupled entries (kappa != 0),
-    at the start, midpoint and end of each step, by one exp per chunk of
+    One (n, n) slab, or a (B, n, n) stack of slabs with the same coupled
+    entries (kappa != 0).  kappa * exp(i xi z) is formed only on those, at
+    the start, midpoint and end of each step, by one exp per chunk of
     steps whose phase values fit `_PHASE_BUDGET_BYTES`; the midpoint
     matrix serves both k2 and k3.  Each coupled entry gets the same
     floating-point operations as in a dense RK4 loop that evaluates the
     coupling matrix at every stage, and an uncoupled entry there adds
-    only a signed zero to a propagator whose zeros stay +0, so the result
-    is bit-identical to that loop.
+    only a signed zero to a propagator whose zeros stay +0, so each slice
+    of the result is bit-identical to that loop run on it alone.
     """
     h = thickness / steps
-    n = kappa.shape[0]
-    coupled = np.flatnonzero(kappa)
-    coupling = np.ravel(kappa)[coupled]
-    rate = 1j * np.ravel(xi)[coupled]
-    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(coupled.size, 1)))
-    # The coupling matrix at a step's start, midpoint and end.
-    matrices = np.zeros((3, n, n), dtype=complex)
+    n = kappa.shape[-1]
+    kappas, xis = np.reshape(kappa, (-1, n * n)), np.reshape(xi, (-1, n * n))
+    coupled = np.flatnonzero(kappas[0])
+    coupling, rate = kappas[:, coupled], 1j * xis[:, coupled]
+    b = len(coupling)
+    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(coupled.size, 1) * b))
+    # The coupling matrices at a step's start, midpoint and end.
+    matrices = np.zeros((3, *kappa.shape), dtype=complex)
     start, middle, end = matrices
     entries = matrices.reshape(-1)
-    targets = (np.arange(3)[:, None] * (n * n) + coupled).ravel()
+    targets = (np.arange(3 * b)[:, None] * (n * n) + coupled).ravel()
     half, sixth = 0.5 * h, h / 6.0
-    propagator = np.eye(n, dtype=complex)
+    # A single slab stays 2-D: stacked matmul costs more per call.
+    propagator = np.broadcast_to(np.eye(n, dtype=complex), kappa.shape).copy()
     for first in range(0, steps, chunk):
         z = np.arange(first, min(first + chunk, steps)) * h
         nodes = np.stack([z, z + half, z + h], axis=1)
         # kappa stays the left operand: numpy's complex multiply may fuse a
         # multiply-add, so phase * kappa can differ from it in the last bit.
-        values = coupling * np.exp(rate * nodes[..., None])
+        values = coupling * np.exp(rate * nodes[..., None, None])
         for step_values in values.reshape(z.size, -1):
             entries[targets] = step_values
             k1 = 1j * (start @ propagator)
@@ -456,6 +468,44 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
             k4 = 1j * (end @ (propagator + h * k3))
             propagator = propagator + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return propagator
+
+
+def _slab_transfers(
+    system: CouplingSystem, thickness: float, include_crosstalk: bool,
+    tilt_mode: PlaneWaveMode | None, tilts: list[tuple[float, np.ndarray | None]],
+) -> tuple[list[np.ndarray], Exception | None]:
+    """`detuned_transfer`'s transfers at each (tilt, its `_tilt_shift` or None)
+    before the first that fails, and that failure (or None).  The RK4-route
+    tilts of one step count run as one stack."""
+    routed, error, stacks = [], None, {}
+    for tilt, shift in tilts:
+        try:
+            kappa, xi = _select_system(system, include_crosstalk, tilt, tilt_mode, shift)
+            steps = _step_count(kappa, xi, thickness)
+            potential, residual = _potential(kappa, xi)
+            if residual * thickness <= _POTENTIAL_TOL:
+                exact = _hermitian_exp(kappa - np.diag(potential), thickness)
+                routed.append((np.exp(1j * thickness * potential)[:, None] * exact, _UNITARITY_TOL))
+            else:
+                stacks.setdefault(steps, []).append((len(routed), kappa, xi))
+                routed.append(None)
+        except (ArithmeticError, RuntimeError, ValueError) as failure:
+            error = failure  # kept for the caller to raise in its own order
+            break
+    for steps, group in stacks.items():
+        at, kappas, xis = zip(*group)
+        # A lone slab stays 2-D, where matmul costs less per call.
+        stack = [_integrate(kappas[0], xis[0], thickness, steps)] if len(at) == 1 else (
+            _integrate(np.stack(kappas), np.stack(xis), thickness, steps))
+        for index, transfer in zip(at, stack):
+            routed[index] = transfer, _UNITARITY_TOL_PER_STEP * steps
+    transfers = [transfer for transfer, _ in routed]
+    for index, (transfer, tolerance) in enumerate(routed):
+        defect = unitarity_defect(transfer)
+        if not defect <= tolerance:
+            message = f"slab transfer is not unitary (Frobenius defect {defect:.2e})"
+            return transfers[:index], FloatingPointError(message)
+    return transfers, error
 
 
 def detuned_transfer(
@@ -485,25 +535,10 @@ def detuned_transfer(
     """
     if not 0.0 < thickness < math.inf:
         raise ValueError(f"thickness must be positive and finite, got {thickness}")
-    kappa, xi = _select_system(system, include_crosstalk, tilt, tilt_mode)
-    steps = _step_count(kappa, xi, thickness)
-    potential, residual = _potential(kappa, xi)
-    if residual * thickness <= _POTENTIAL_TOL:
-        transfer = np.exp(1j * thickness * potential)[:, None] * _hermitian_exp(
-            kappa - np.diag(potential), thickness
-        )
-        tolerance = _UNITARITY_TOL
-    else:
-        transfer = _integrate(kappa, xi, thickness, steps)
-        tolerance = _UNITARITY_TOL_PER_STEP * steps
-    defect = unitarity_defect(transfer)
-    if not defect <= tolerance:
-        raise FloatingPointError(f"slab transfer is not unitary (Frobenius defect {defect:.2e})")
-    return TransferResult(
-        transfer=transfer,
-        thickness_used=thickness,
-        modes=system.modes,
-    )
+    slabs, error = _slab_transfers(system, thickness, include_crosstalk, tilt_mode, [(tilt, None)])
+    if error is not None:
+        raise error
+    return TransferResult(transfer=slabs[0], thickness_used=thickness, modes=system.modes)
 
 
 def tune_stack(stack: GratingStack, material: MaterialSpec | None = None) -> GratingStack:
@@ -544,11 +579,7 @@ def simulate_stack(
         step = detuned_transfer(system, hologram.thickness, include_crosstalk=include_crosstalk)
         transfer = step.transfer @ transfer
         total += hologram.thickness
-    return TransferResult(
-        transfer=transfer,
-        thickness_used=total,
-        modes=universe,
-    )
+    return TransferResult(transfer=transfer, thickness_used=total, modes=universe)
 
 
 def _dominant_input(hologram: Hologram, modes: ModeSet) -> PlaneWaveMode:
@@ -596,26 +627,24 @@ def selectivity_sweep(
             f"(its cone half angle is {source_mode.cone_half_angle} rad)"
         )
 
-    systems = [build_coupling(h, modes, material) for h in holograms]
-
-    def stack_transfer(tilt: float) -> np.ndarray:
-        transfer = np.eye(len(modes.universe), dtype=complex)
-        for system, hologram in zip(systems, holograms):
-            step = detuned_transfer(
-                system,
-                hologram.thickness,
-                include_crosstalk=include_crosstalk,
-                tilt=tilt,
-                tilt_mode=source_mode,
-            )
-            transfer = step.transfer @ transfer
-        return transfer
-
-    baseline = stack_transfer(0.0)
-    out_pos = int(np.argmax(np.abs(baseline[:, in_pos])))
-
-    rows = []
-    for tilt in np.linspace(0.0, tilt_range, samples):
-        transfer = baseline if tilt == 0.0 else stack_transfer(float(tilt))
-        rows.append((float(tilt), float(abs(transfer[out_pos, in_pos]) ** 2)))
+    slabs = [(build_coupling(h, modes, material), h.thickness) for h in holograms]
+    size = len(modes.universe)
+    tilts = np.linspace(0.0, tilt_range, samples).tolist()
+    rows, batch = [], max(1, _BATCH_BYTES // (16 * size * size))
+    for first in range(0, samples, batch):
+        # Each slab propagates a batch of tilts together.  A slab's failure at
+        # a tilt precedes a later slab's at it or beyond, as in a tilt-major loop.
+        todo = [(t, None if t == 0.0 else _tilt_shift(modes.universe, t, source_mode))
+                for t in tilts[first:first + batch]]
+        transfers, failure = [np.eye(size, dtype=complex)] * len(todo), None
+        for system, thickness in slabs:
+            layer, error = _slab_transfers(system, thickness, include_crosstalk, source_mode, todo)
+            transfers = [step @ transfer for step, transfer in zip(layer, transfers)]
+            if error is not None:
+                failure, todo = error, todo[:len(layer)]
+        if failure is not None:
+            raise failure
+        if first == 0:
+            out_pos = int(np.argmax(np.abs(transfers[0][:, in_pos])))
+        rows += [(t, float(abs(T[out_pos, in_pos]) ** 2)) for (t, _), T in zip(todo, transfers)]
     return rows
