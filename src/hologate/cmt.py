@@ -444,15 +444,13 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
     kappas, xis = np.reshape(kappa, (-1, n * n)), np.reshape(xi, (-1, n * n))
     coupled = np.flatnonzero(kappas[0])
     coupling, rate = kappas[:, coupled], 1j * xis[:, coupled]
-    b = len(coupling)
-    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(coupled.size, 1) * b))
+    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(coupling.size, 1)))
     # The coupling matrices at a step's start, midpoint and end.
     matrices = np.zeros((3, *kappa.shape), dtype=complex)
     start, middle, end = matrices
     entries = matrices.reshape(-1)
-    targets = (np.arange(3 * b)[:, None] * (n * n) + coupled).ravel()
+    targets = (np.arange(3 * len(coupling))[:, None] * (n * n) + coupled).ravel()
     half, sixth = 0.5 * h, h / 6.0
-    # A single slab stays 2-D: stacked matmul costs more per call.
     propagator = np.broadcast_to(np.eye(n, dtype=complex), kappa.shape).copy()
     for first in range(0, steps, chunk):
         z = np.arange(first, min(first + chunk, steps)) * h
@@ -579,7 +577,11 @@ def simulate_stack(
         step = detuned_transfer(system, hologram.thickness, include_crosstalk=include_crosstalk)
         transfer = step.transfer @ transfer
         total += hologram.thickness
-    return TransferResult(transfer=transfer, thickness_used=total, modes=universe)
+    return TransferResult(
+        transfer=transfer,
+        thickness_used=total,
+        modes=universe,
+    )
 
 
 def _dominant_input(hologram: Hologram, modes: ModeSet) -> PlaneWaveMode:
@@ -632,8 +634,7 @@ def selectivity_sweep(
     tilts = np.linspace(0.0, tilt_range, samples).tolist()
     rows, batch = [], max(1, _BATCH_BYTES // (16 * size * size))
     for first in range(0, samples, batch):
-        # Each slab propagates a batch of tilts together.  A slab's failure at
-        # a tilt precedes a later slab's at it or beyond, as in a tilt-major loop.
+        # Later slabs skip the tilts from a failure on: it is the tilt-major first.
         todo = [(t, None if t == 0.0 else _tilt_shift(modes.universe, t, source_mode))
                 for t in tilts[first:first + batch]]
         transfers, failure = [np.eye(size, dtype=complex)] * len(todo), None
