@@ -634,7 +634,7 @@ def selectivity_sweep(
     tilts = np.linspace(0.0, tilt_range, samples).tolist()
     rows, batch = [], max(1, _BATCH_BYTES // (16 * size * size))
     for first in range(0, samples, batch):
-        # Later slabs skip the tilts from a failure on: it is the tilt-major first.
+        # Later slabs run only the tilts before a failure, so the tilt-major first is raised.
         todo = [(t, None if t == 0.0 else _tilt_shift(modes.universe, t, source_mode))
                 for t in tilts[first:first + batch]]
         transfers, failure = [np.eye(size, dtype=complex)] * len(todo), None
