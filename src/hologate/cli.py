@@ -188,15 +188,20 @@ def _output_space(stack: compiler.GratingStack) -> Role:
     return last.modes[last.partner[0]].role
 
 
+def _verified(stack: compiler.GratingStack, target: np.ndarray,
+              material: compiler.MaterialSpec | None, threshold: float):
+    """The tuned stack, its result, and its fidelity on the `_output_space` cone."""
+    stack = cmt.tune_stack(stack, material)
+    result = cmt.simulate_stack(stack, material)
+    realized = metrics.realized_unitary(result, stack.mode_set, _output_space(stack))
+    return stack, result, metrics.process_fidelity(target, realized, threshold=threshold)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     target = formats.matrix_from_dict(formats.load_json(args.target))
     target = compiler.as_unitary(target, stack.mode_set.dimension)
-    material = _load_material(args.material)
-    stack = cmt.tune_stack(stack, material)
-    result = cmt.simulate_stack(stack, material)
-    realized = metrics.realized_unitary(result, stack.mode_set, _output_space(stack))
-    report = metrics.process_fidelity(target, realized, threshold=args.threshold)
+    _, _, report = _verified(stack, target, _load_material(args.material), args.threshold)
     if args.out:
         formats.dump_json(formats.fidelity_report_to_dict(report), args.out)
     status = "PASS" if report.passed else "FAIL"
@@ -260,10 +265,7 @@ def _run_demo(
     material: compiler.MaterialSpec,
     extra_report: dict,
 ) -> int:
-    stack = cmt.tune_stack(stack, material)
-    result = cmt.simulate_stack(stack, material)
-    realized = metrics.realized_unitary(result, stack.mode_set, Role.SIGNAL)
-    report = metrics.process_fidelity(target, realized, threshold=args.threshold)
+    stack, result, report = _verified(stack, target, material, args.threshold)
     feas = compiler.feasibility_report(stack, material)
     sweep_rows = cmt.selectivity_sweep(
         compiler.GratingStack(holograms=stack.holograms[:1], mode_set=stack.mode_set),
@@ -306,12 +308,8 @@ def cmd_teleport_demo(args: argparse.Namespace) -> int:
     )
 
     # Reference-cone check of the bare multiplexed element.
-    bare = cmt.tune_stack(
-        compiler.GratingStack(holograms=(multiplexed,), mode_set=modes), material
-    )
-    bare_result = cmt.simulate_stack(bare, material)
-    bare_block = metrics.realized_unitary(bare_result, modes, Role.REFERENCE)
-    bare_report = metrics.process_fidelity(target, bare_block)
+    bare = compiler.GratingStack(holograms=(multiplexed,), mode_set=modes)
+    _, _, bare_report = _verified(bare, target, material, metrics.DEFAULT_FIDELITY_THRESHOLD)
 
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     extra = {

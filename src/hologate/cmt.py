@@ -27,7 +27,7 @@ detuning is the z component of k_a - k_b - grating, so a tilt is an
 exact per-mode potential: it adds shift_a - shift_b to xi_ab, with
 shift_n the tilted mode's change in k_z.
 
-Every slab goes through one propagator, `detuned_transfer`, by one of
+Every slab goes through one propagator, `_slab_transfers`, by one of
 two routes chosen from the couplings alone.  When the detunings of every
 coupled pair come from a per-mode potential, xi_nm = d_n - d_m (so on
 recorded fringes, tilted or not, up to rounding, since a recorded grating
@@ -41,7 +41,8 @@ RK4 integrates the equations.
 Free propagation between stacked slabs multiplies each cone by a common
 phase exp(i k_z dz); that per-cone constant is normalized to zero here
 (physically: absorbed into the recording alignment of the next element),
-so stack transfers compose as plain matrix products.
+so stack transfers compose as plain matrix products, in one loop for
+every stack and sweep.
 """
 
 from __future__ import annotations
@@ -171,25 +172,6 @@ def _strengths(hologram: Hologram, modes: ModeSet, material: MaterialSpec | None
     table.positions(modes)  # raises UnknownMode outside the set
     wavelength = modes.geometry.wavelength
     return table.derived("strengths", modes, lambda: _exposure_strengths(table, wavelength))
-
-
-def _recorded_pairs(
-    hologram: Hologram,
-    modes: ModeSet,
-    material: MaterialSpec | None,
-) -> tuple[list[tuple[int, list[tuple[int, complex, float]]]], tuple[float, ...]]:
-    """Validated recorded pairs of each exposure, and the exposure strengths.
-
-    Per exposure: the partner's universe position and one (position,
-    coefficient, kappa0) entry per superposition component.  Raises as
-    `_strengths` does.
-    """
-    kappa0, strengths = _strengths(hologram, modes, material)
-    table = hologram._fringes
-    at = table.positions(modes)
-    fringes = list(zip(at[table.component].tolist(), table.coefficient.tolist(), kappa0.tolist()))
-    spans = zip(table.bounds, table.bounds[1:])
-    return [(int(at[table.partner[a]]), fringes[a:b]) for a, b in spans], strengths
 
 
 def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budget: int):
@@ -349,8 +331,11 @@ def _hermitian_exp(matrix: np.ndarray, thickness: float) -> np.ndarray:
     return (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
 
 
-def _tilt_shift(modes: tuple, tilt: float, tilt_mode: PlaneWaveMode | None) -> np.ndarray:
-    """k_z(tilted) - k_z(untilted) of each mode; every mode tilts when `tilt_mode` is None."""
+def _tilt_shift(modes: tuple, tilt: float, tilt_mode: PlaneWaveMode | None) -> np.ndarray | None:
+    """k_z(tilted) - k_z(untilted) of each mode, or None when `tilt` is 0; every
+    mode tilts when `tilt_mode` is None."""
+    if tilt == 0.0:
+        return None
     shift = np.zeros(len(modes))
     for n, mode in enumerate(modes):
         if tilt_mode is None or mode == tilt_mode:
@@ -360,21 +345,13 @@ def _tilt_shift(modes: tuple, tilt: float, tilt_mode: PlaneWaveMode | None) -> n
 
 
 def _select_system(
-    system: CouplingSystem,
-    include_crosstalk: bool,
-    tilt: float,
-    tilt_mode: PlaneWaveMode | None,
-    shift: np.ndarray | None = None,
+    system: CouplingSystem, include_crosstalk: bool, shift: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """kappa and xi restricted to the requested couplings, tilt applied.
+    """kappa and xi restricted to the requested couplings, a tilt applied.
 
-    A tilt adds shift_a - shift_b to xi_ab, with `shift` from `_tilt_shift`
-    (taken here when not given).
+    A tilt is its `_tilt_shift`, which adds shift_a - shift_b to xi_ab.
     """
-    xi = system.xi
-    if tilt != 0.0:
-        shift = _tilt_shift(system.modes, tilt, tilt_mode) if shift is None else shift
-        xi = xi + (shift[:, None] - shift[None, :])
+    xi = system.xi if shift is None else system.xi + (shift[:, None] - shift[None, :])
     mask = system.recorded_mask if not include_crosstalk else (
         system.recorded_mask | (system.kappa != 0.0)
     )
@@ -470,15 +447,15 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
 
 def _slab_transfers(
     system: CouplingSystem, thickness: float, include_crosstalk: bool,
-    tilt_mode: PlaneWaveMode | None, tilts: list[tuple[float, np.ndarray | None]],
+    shifts: list[np.ndarray | None],
 ) -> tuple[list[np.ndarray], Exception | None]:
-    """`detuned_transfer`'s transfers at each (tilt, its `_tilt_shift` or None)
-    before the first that fails, and that failure (or None).  The RK4-route
-    tilts of one step count run as one stack."""
+    """`detuned_transfer`'s transfers at each tilt's `_tilt_shift` before the
+    first that fails, and that failure (or None).  The RK4-route tilts of one
+    step count run as one stack."""
     routed, error, stacks = [], None, {}
-    for tilt, shift in tilts:
+    for shift in shifts:
         try:
-            kappa, xi = _select_system(system, include_crosstalk, tilt, tilt_mode, shift)
+            kappa, xi = _select_system(system, include_crosstalk, shift)
             steps = _step_count(kappa, xi, thickness)
             potential, residual = _potential(kappa, xi)
             if residual * thickness <= _POTENTIAL_TOL:
@@ -533,7 +510,8 @@ def detuned_transfer(
     """
     if not 0.0 < thickness < math.inf:
         raise ValueError(f"thickness must be positive and finite, got {thickness}")
-    slabs, error = _slab_transfers(system, thickness, include_crosstalk, tilt_mode, [(tilt, None)])
+    shift = _tilt_shift(system.modes, tilt, tilt_mode)
+    slabs, error = _slab_transfers(system, thickness, include_crosstalk, [shift])
     if error is not None:
         raise error
     return TransferResult(transfer=slabs[0], thickness_used=thickness, modes=system.modes)
@@ -553,6 +531,23 @@ def tune_stack(stack: GratingStack, material: MaterialSpec | None = None) -> Gra
     return GratingStack(holograms=tuple(tuned), mode_set=stack.mode_set)
 
 
+def _stack_transfers(slabs, size: int, include_crosstalk: bool, shifts: list) -> list[np.ndarray]:
+    """Ordered product of the (system, thickness) slabs' transfers at each shift.
+    Later slabs run only the shifts before a failure, and none is read once no
+    shift is left, so the failure raised is the first a shift-major loop meets."""
+    transfers, failure = [np.eye(size, dtype=complex)] * len(shifts), None
+    for system, thickness in slabs:
+        layer, error = _slab_transfers(system, thickness, include_crosstalk, shifts)
+        transfers = [step @ transfer for step, transfer in zip(layer, transfers)]
+        if error is not None:
+            failure, shifts = error, shifts[:len(layer)]
+            if not shifts:
+                break
+    if failure is not None:
+        raise failure
+    return transfers
+
+
 def simulate_stack(
     stack: GratingStack,
     material: MaterialSpec | None = None,
@@ -563,25 +558,21 @@ def simulate_stack(
 
     Every hologram must carry a thickness (see `tune_stack`).  Inter-slab
     propagation phases are normalized away as described in the module
-    docstring.  `include_crosstalk` is passed to every slab.
+    docstring.  `include_crosstalk` is passed to every slab, each built and
+    run before the next hologram is checked.
     """
+    def slabs():
+        for hologram in stack.holograms:
+            if hologram.thickness is None:
+                raise ValueError(
+                    f"hologram {hologram.label!r} has no thickness; tune the stack first"
+                )
+            yield build_coupling(hologram, stack.mode_set, material), hologram.thickness
+
     universe = stack.mode_set.universe
-    transfer = np.eye(len(universe), dtype=complex)
-    total = 0.0
-    for hologram in stack.holograms:
-        if hologram.thickness is None:
-            raise ValueError(
-                f"hologram {hologram.label!r} has no thickness; tune the stack first"
-            )
-        system = build_coupling(hologram, stack.mode_set, material)
-        step = detuned_transfer(system, hologram.thickness, include_crosstalk=include_crosstalk)
-        transfer = step.transfer @ transfer
-        total += hologram.thickness
-    return TransferResult(
-        transfer=transfer,
-        thickness_used=total,
-        modes=universe,
-    )
+    [transfer] = _stack_transfers(slabs(), len(universe), include_crosstalk, [None])
+    total = sum((h.thickness for h in stack.holograms), 0.0)
+    return TransferResult(transfer=transfer, thickness_used=total, modes=universe)
 
 
 def _dominant_input(hologram: Hologram, modes: ModeSet) -> PlaneWaveMode:
@@ -634,18 +625,10 @@ def selectivity_sweep(
     tilts = np.linspace(0.0, tilt_range, samples).tolist()
     rows, batch = [], max(1, _BATCH_BYTES // (16 * size * size))
     for first in range(0, samples, batch):
-        # Later slabs run only the tilts before a failure, so the tilt-major first is raised.
-        todo = [(t, None if t == 0.0 else _tilt_shift(modes.universe, t, source_mode))
-                for t in tilts[first:first + batch]]
-        transfers, failure = [np.eye(size, dtype=complex)] * len(todo), None
-        for system, thickness in slabs:
-            layer, error = _slab_transfers(system, thickness, include_crosstalk, source_mode, todo)
-            transfers = [step @ transfer for step, transfer in zip(layer, transfers)]
-            if error is not None:
-                failure, todo = error, todo[:len(layer)]
-        if failure is not None:
-            raise failure
+        todo = tilts[first:first + batch]
+        shifts = [_tilt_shift(modes.universe, t, source_mode) for t in todo]
+        transfers = _stack_transfers(slabs, size, include_crosstalk, shifts)
         if first == 0:
             out_pos = int(np.argmax(np.abs(transfers[0][:, in_pos])))
-        rows += [(t, float(abs(T[out_pos, in_pos]) ** 2)) for (t, _), T in zip(todo, transfers)]
+        rows += [(t, float(abs(T[out_pos, in_pos]) ** 2)) for t, T in zip(todo, transfers)]
     return rows

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, NotSignedPermutation, NotUnitary
-from .modes import ModeSet, PlaneWaveMode, TWO_PI, wave_vector
+from .modes import ModeSet, PlaneWaveMode, TWO_PI
 
 #: Index-modulation amplitude used when a plan does not specify one.
 #: An illustrative value for PTR-like glass; adjust per material batch.
@@ -163,14 +163,10 @@ def _fringe_table(exposures) -> _FringeTable:
 
 
 def _gram(table: _FringeTable) -> np.ndarray:
+    """|<a|b>| for every pair of the table's exposures, as one Gram matrix over its modes."""
     matrix = np.zeros((len(table.delta_n), len(table.modes)), dtype=complex)
     matrix[table.row, table.component] = table.coefficient
     return np.abs(matrix.conj() @ matrix.T)
-
-
-def _overlap(exposures: tuple[Exposure, ...]) -> np.ndarray:
-    """|<a|b>| for every pair of exposures, as one Gram matrix over the modes they use."""
-    return _gram(_fringe_table(exposures))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -418,8 +414,7 @@ def _smallest_grating_vector(modes: ModeSet, tables: list[_FringeTable]) -> floa
     positions = [t.positions(modes) for t in tables]
     components = np.concatenate([at[t.component] for t, at in zip(tables, positions)])
     partners = np.concatenate([at[t.partner] for t, at in zip(tables, positions)])
-    vectors = np.array([wave_vector(mode) for mode in modes.universe])
-    differences = vectors[components] - vectors[partners]
+    differences = modes.wave_vectors[components] - modes.wave_vectors[partners]
     approximate = np.sqrt(np.einsum("ij,ij->i", differences, differences))
     near = np.flatnonzero(approximate <= approximate.min() * (1.0 + 1e-12))
     return min(float(np.linalg.norm(differences[i])) for i in near)

@@ -190,7 +190,7 @@ def assert_slices_identical(stacked, singles):
 def test_stacked_integrate_matches_single_calls(budget, monkeypatch):
     system = inconsistent_cycle()
     slabs = [
-        cmt._select_system(system, True, 1.0, None, shift)
+        cmt._select_system(system, True, shift)
         for shift in potential_shifts([0.0, 3.0, -7.5])
     ]
     singles = [cmt._integrate(kappa, xi, 1.0, 1000) for kappa, xi in slabs]
@@ -203,7 +203,8 @@ def test_teleport_tilts_stack_bit_for_bit(modes8, material):
     system = build_coupling(compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8),
                             modes8, material)
     thickness = cmt.optimal_thickness(system)
-    slabs = [cmt._select_system(system, True, t, modes8.signals[0]) for t in (0.0, 1e-3, 2e-3)]
+    slabs = [cmt._select_system(system, True, cmt._tilt_shift(system.modes, t, modes8.signals[0]))
+             for t in (0.0, 1e-3, 2e-3)]
     singles = [cmt._integrate(kappa, xi, thickness, 1200) for kappa, xi in slabs]
     kappas, xis = (np.stack(part) for part in zip(*slabs))
     assert_slices_identical(cmt._integrate(kappas, xis, thickness, 1200), singles)
@@ -211,15 +212,14 @@ def test_teleport_tilts_stack_bit_for_bit(modes8, material):
 
 def test_tilt_groups_of_different_step_counts(monkeypatch):
     system = inconsistent_cycle()
-    tilts = [(1.0, shift) for shift in potential_shifts([0.0, 200.0, 5.0, 100.0, -199.7])]
-    steps = [cmt._step_count(*cmt._select_system(system, True, 1.0, None, s), 1.0)
-             for _, s in tilts]
+    tilts = potential_shifts([0.0, 200.0, 5.0, 100.0, -199.7])
+    steps = [cmt._step_count(*cmt._select_system(system, True, s), 1.0) for s in tilts]
     assert steps == [1000, 2574, 1000, 1300, 2574]
-    singles = [cmt._slab_transfers(system, 1.0, True, None, [tilt])[0][0] for tilt in tilts]
+    singles = [cmt._slab_transfers(system, 1.0, True, [tilt])[0][0] for tilt in tilts]
     calls = []
     integrate = cmt._integrate
     monkeypatch.setattr(cmt, "_integrate", lambda *args: calls.append(args[3]) or integrate(*args))
-    ours, error = cmt._slab_transfers(system, 1.0, True, None, tilts)
+    ours, error = cmt._slab_transfers(system, 1.0, True, tilts)
     assert error is None and sorted(calls) == [1000, 1300, 2574]
     for transfer, single in zip(ours, singles):
         assert transfer.tobytes() == single.tobytes()
@@ -268,8 +268,8 @@ def test_non_unitary_slice_fails_as_per_tilt_loop(failing, material, monkeypatch
     source = cmt._dominant_input(stack.holograms[0], modes)
     tilts = np.linspace(0.0, 2e-3, 3).tolist()
     systems = [build_coupling(h, modes, material) for h in stack.holograms]
-    targets = [(cmt._select_system(systems[slab], True, tilts[tilt], source)[1], factor)
-               for tilt, slab, factor in failing]
+    targets = [(cmt._select_system(systems[slab], True, cmt._tilt_shift(
+        systems[slab].modes, tilts[tilt], source))[1], factor) for tilt, slab, factor in failing]
     monkeypatch.setattr(cmt, "_integrate", scale_slices(targets))
     ours = outcome(lambda: selectivity_sweep(stack, material, 2e-3, 3, include_crosstalk=True))
     reference = outcome(lambda: reference_sweep(stack, material, 2e-3, 3, True))
@@ -286,8 +286,9 @@ def test_too_stiff_tilt_exits_as_per_tilt_loop(tmp_path, capsys):
     reference = outcome(lambda: reference_sweep(read, None, 1.2, 3))
     holograms = tune_stack(read, None).holograms
     source = cmt._dominant_input(holograms[0], read.mode_set)
+    shift = cmt._tilt_shift(read.mode_set.universe, 1.2, source)
     stiff = [outcome(lambda: cmt._step_count(*cmt._select_system(
-        build_coupling(h, read.mode_set), False, 1.2, source), h.thickness)) for h in holograms]
+        build_coupling(h, read.mode_set), False, shift), h.thickness)) for h in holograms]
     assert reference == stiff[0] != stiff[1] and reference[0] is StepUnderflow
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--plan", str(plan), "--tilt-range", "1.2", "--samples", "3",

@@ -850,3 +850,84 @@ class TestDimensionCap:
         assert main([arg.format(**files) for arg in command]) == 2
         assert "dimension must lie in [1, 256], got 1000000000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestSlabOrder:
+    """A stack's slabs run in order, each coupling built just before its slab."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_stiff_slab_fails_before_a_later_ceiling(self, tmp_path, capsys, command):
+        # Hologram 0 is 5 km thick, too stiff to integrate; hologram 1 records
+        # at delta n = 2e-3, above the sample material's 1e-3 ceiling.  Were
+        # every coupling built before the first slab ran, the run would exit 2
+        # on the ceiling.
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "4", "--out-dir", str(cfg)])
+        target = tmp_path / "cnot.json"
+        write_matrix(target, CNOT_MATRIX)
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        payload = load_json(plan)
+        first, second = payload["holograms"]
+        first["thickness_m"], second["thickness_m"] = 5000.0, 1e-3
+        for exposure in second["exposures"]:
+            exposure["delta_n"] = 2e-3
+        plan.write_text(json.dumps(payload))
+        out = tmp_path / "out.json"
+        argv = {
+            "simulate": ["simulate", "--out", str(out)],
+            "verify": ["verify", "--target", str(target), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--plan", str(plan), "--material", str(cfg / "material.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: StepUnderflow: step bound needs 63700571 integrator steps; "
+            "system is too stiff\n"
+        )
+        assert not out.exists()
+
+
+class TestBoundaryChecks:
+    """Malformed files and flags exit 2 with an error line naming the cause."""
+
+    def test_top_level_json_array_exits_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text("[]")
+        capsys.readouterr()
+        assert main(["simulate", "--plan", str(plan), "--out", str(tmp_path / "r.json")]) == 2
+        assert "expected a JSON object at top level" in capsys.readouterr().err
+
+    def test_negative_tilt_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        target = tmp_path / "identity.json"
+        write_matrix(target, np.eye(2))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(target), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        # The `=` form: a separate "-1e-3" is taken for a flag by argparse.
+        assert main(["sweep", "--plan", str(plan), "--tilt-range=-1e-3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ValueError: tilt range must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("element, message", [
+        ({"kind": "reset", "wire": 1}, "circuit.elements[0]: unknown kind 'reset'"),
+        ({"kind": "cgate", "source_wire": 1, "gate": {"kind": "measure", "wire": 1}},
+         "circuit.elements[0].gate: expected a gate, got kind 'measure'"),
+    ], ids=["unknown-kind", "cgate-of-measure"])
+    def test_bad_circuit_element_exits_2(self, tmp_path, capsys, element, message):
+        cfg = tmp_path / "cfg"
+        main(["init", "--dimension", "2", "--out-dir", str(cfg)])
+        circuit = tmp_path / "circuit.json"
+        circuit.write_text(json.dumps({"width": 1, "elements": [element]}))
+        out = tmp_path / "plan.json"
+        capsys.readouterr()
+        assert main(["compile", "--circuit", str(circuit), "--geometry",
+                     str(cfg / "geometry.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileFormatError:") and message in err
+        assert not out.exists()

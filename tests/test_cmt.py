@@ -96,6 +96,19 @@ class TestBuildCoupling:
         with pytest.raises(ValueError, match="must be finite"):
             synthetic_pair(kappa, xi)
 
+    @pytest.mark.parametrize("kappa, xi, message", [
+        (np.zeros((2, 3)), np.zeros((2, 2)), "must be square"),
+        (np.zeros((2, 2)), np.zeros((3, 3)), "must be square"),
+        (np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros((2, 2)), "kappa must be Hermitian"),
+        (np.array([[0.0, 1j], [1j, 0.0]]), np.zeros((2, 2)), "kappa must be Hermitian"),
+        (np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]), "xi must be antisymmetric"),
+    ], ids=["kappa-not-square", "xi-not-square", "kappa-asymmetric", "kappa-not-conjugate",
+            "xi-symmetric"])
+    def test_malformed_matrices_are_rejected(self, kappa, xi, message):
+        pair = synthetic_pair(1.0, 0.0)
+        with pytest.raises(ValueError, match=message):
+            replace(pair, kappa=kappa, xi=xi)
+
     def test_modulation_beyond_float_range_is_named(self, modes2):
         with pytest.raises(ValueError, match="delta_n 1e[+]308"):
             build_coupling(single_grating(modes2, delta_n=1e308), modes2)
@@ -280,6 +293,14 @@ class TestOptimalThickness:
         with pytest.raises(NonuniformCoupling):
             optimal_thickness(system)
 
+    @pytest.mark.parametrize("strengths, message", [
+        ((), "no exposures to tune"), ((0.0, 0.0), "all zero"),
+    ], ids=["empty", "all-zero"])
+    def test_rejects_strengths_without_a_coupling(self, strengths, message):
+        system = replace(synthetic_pair(0.0, 0.0), exposure_strengths=strengths)
+        with pytest.raises(NonuniformCoupling, match=message):
+            optimal_thickness(system)
+
 
 class TestDetunedTransfer:
     def test_matches_ideal_when_phase_matched(self, modes8, material):
@@ -436,7 +457,7 @@ class TestExactRoute:
         hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes8)
         system = build_coupling(hologram, modes8, material)
         d = optimal_thickness(system)
-        kappa, xi = cmt._select_system(system, True, 0.0, None)
+        kappa, xi = cmt._select_system(system, True, None)
         assert cmt._potential(kappa, xi)[1] * d > 1.0
         calls = []
         monkeypatch.setattr(cmt, "_integrate", lambda *args: calls.append(args) or np.eye(16))
@@ -461,7 +482,8 @@ class TestExactRoute:
             ours = detuned_transfer(
                 system, d, include_crosstalk=crosstalk, tilt=tilt, tilt_mode=mode
             ).transfer
-            kappa, xi = cmt._select_system(system, crosstalk, tilt, mode)
+            shift = cmt._tilt_shift(system.modes, tilt, mode)
+            kappa, xi = cmt._select_system(system, crosstalk, shift)
             reference = integrate(kappa, xi, d, cmt._step_count(kappa, xi, d))
             assert np.abs(ours - reference).max() <= 1e-9
             assert np.linalg.norm(ours.conj().T @ ours - np.eye(len(ours))) < 1e-9

@@ -243,7 +243,7 @@ def test_tilt_matches_per_fringe_reference(
     mode = modes.signals[0] if tilt_first_signal else None
     ref_kappa, ref_xi = reference_select(fringes, modes.universe, crosstalk, tilt, mode)
 
-    kappa, xi = cmt._select_system(system, crosstalk, tilt, mode)
+    kappa, xi = cmt._select_system(system, crosstalk, cmt._tilt_shift(system.modes, tilt, mode))
     assert kappa.tobytes() == ref_kappa.tobytes()
     assert np.abs(xi - ref_xi).max() <= 1e-6
 

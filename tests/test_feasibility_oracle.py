@@ -13,7 +13,6 @@ import sys
 import numpy as np
 import pytest
 
-from hologate import compiler
 from hologate.circuit import CNOT_MATRIX
 from hologate.compiler import (
     VOLUME_REGIME_Q,
@@ -190,7 +189,7 @@ def test_one_ulp_near_tie(monkeypatch, rows):
     def fake_wave_vector(mode):
         return vectors[mode].copy()
 
-    monkeypatch.setattr(compiler, "wave_vector", fake_wave_vector)
+    monkeypatch.setitem(vars(modes), "wave_vectors", np.array([vectors[m] for m in modes.universe]))
     monkeypatch.setattr(sys.modules[__name__], "wave_vector", fake_wave_vector)
     hologram = Hologram((
         Exposure(partner=r1, coefficients={s1: 1.0 + 0.0j}),

@@ -123,7 +123,7 @@ def test_gram_check_matches_pairwise_loop(name):
 def test_gram_magnitudes_match_pairwise_overlaps(name):
     n, rows, _ = CASES[name]
     exposures = exposures_of(rows, make_cone_basis(geometry(n)))
-    gram = compiler._overlap(exposures)
+    gram = compiler._gram(compiler._fringe_table(exposures))
     for i, a in enumerate(exposures):
         for j, b in enumerate(exposures):
             assert gram[i, j] == pytest.approx(abs(reference_overlap(a, b)), abs=1e-14)

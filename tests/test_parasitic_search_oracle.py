@@ -21,10 +21,12 @@ from hologate.cmt import (
     CouplingSystem,
     _near_pairs,
     _pair_strength,
-    _recorded_pairs,
+    _strengths,
     build_coupling,
 )
 from hologate.compiler import (
+    Hologram,
+    MaterialSpec,
     compile_multiplex,
     compile_redirection,
     compile_signed_permutation_stack,
@@ -32,6 +34,25 @@ from hologate.compiler import (
 from hologate.modes import TWO_PI, ConeGeometry, ModeSet, wave_vector
 
 from conftest import geometry, haar_unitary
+
+
+def _recorded_pairs(
+    hologram: Hologram,
+    modes: ModeSet,
+    material: MaterialSpec | None,
+) -> tuple[list[tuple[int, list[tuple[int, complex, float]]]], tuple[float, ...]]:
+    """Validated recorded pairs of each exposure, and the exposure strengths.
+
+    Per exposure: the partner's universe position and one (position,
+    coefficient, kappa0) entry per superposition component.  Raises as
+    `_strengths` does.
+    """
+    kappa0, strengths = _strengths(hologram, modes, material)
+    table = hologram._fringes
+    at = table.positions(modes)
+    fringes = list(zip(at[table.component].tolist(), table.coefficient.tolist(), kappa0.tolist()))
+    spans = zip(table.bounds, table.bounds[1:])
+    return [(int(at[table.partner[a]]), fringes[a:b]) for a, b in spans], strengths
 
 
 def broadcast_build(hologram, modes, material=None):

@@ -47,7 +47,7 @@ def assert_identical(kappa, xi, thickness, steps=STEPS):
 
 
 def crosstalk_slab(system, tilt=0.0, tilt_mode=None):
-    kappa, xi = cmt._select_system(system, True, tilt, tilt_mode)
+    kappa, xi = cmt._select_system(system, True, cmt._tilt_shift(system.modes, tilt, tilt_mode))
     return kappa, xi, optimal_thickness(system)
 
 
