@@ -72,8 +72,11 @@ class Exposure:
         return Exposure, (self.partner, dict(self.coefficients), self.index_modulation, self.phase)
 
 
-def _check_exposure(values, index_modulation, phase, partner, components) -> None:
-    """An exposure's invariants; partner and components are modes or universe positions."""
+def _check_exposure(values, index_modulation, phase, partner, components, total=None) -> None:
+    """An exposure's invariants; partner and components are modes or universe positions.
+
+    `total` is the squared norm of `values`, if the caller has summed it.
+    """
     if not values:
         raise ValueError("exposure needs at least one superposition component")
     _check_index_modulation(index_modulation)
@@ -81,7 +84,7 @@ def _check_exposure(values, index_modulation, phase, partner, components) -> Non
         raise ValueError(f"exposure phase must be finite, got {phase}")
     if partner in components:
         raise ValueError("partner wave cannot appear in its own superposition")
-    total = _norm_squared(values)
+    total = _norm_squared(values) if total is None else total
     if not abs(total - 1.0) <= _COEFF_NORM_TOL:
         raise ValueError(f"superposition norm {total} is not 1")
 
@@ -107,18 +110,22 @@ class _FringeTable:
     of its hologram shares it.
     """
 
-    def __init__(self, universe, rows):
+    def __init__(self, universe, rows, norms=()):
         """The one filler of a table: rows of (partner, components, coefficients, delta_n, phase).
 
         Modes are positions in `universe`, kept in `modes` in first use (components, then
-        partner); each row passes `_check_exposure` before the next row is read.
+        partner); each row passes `_check_exposure` before the next row is read.  A row's
+        squared norm comes from its weights, or from `norms` when the caller has summed it.
         """
         local: dict[int, int] = {}  # universe position -> entry of `modes`
-        exposures, components, coefficients = [], [], []
+        exposures, components, coefficients, weights, norms = [], [], [], [], iter(norms)
         for partner, positions, values, delta_n, phase in rows:
-            _check_exposure(values, delta_n, phase, partner, positions)
+            row_weights = [abs(c) for c in values]
+            _check_exposure(values, delta_n, phase, partner, positions,
+                            next(norms, None) or sum(w * w for w in row_weights))
             components += [local.setdefault(m, len(local)) for m in positions]
             coefficients += values
+            weights += row_weights
             exposures.append((local.setdefault(partner, len(local)), len(values), delta_n, phase))
         partners, counts, delta_n, phase = zip(*exposures) if exposures else [()] * 4
         self.modes: tuple[PlaneWaveMode, ...] = tuple(universe[p] for p in local)
@@ -127,7 +134,7 @@ class _FringeTable:
         self.component = np.asarray(components, dtype=np.intp)
         self.partner = np.asarray(partners, dtype=np.intp)[self.row]
         self.coefficient = np.array(coefficients, dtype=complex)
-        self.weight = np.array([abs(c) for c in coefficients], dtype=float)
+        self.weight = np.array(weights, dtype=float)
         self.delta_n, self.phase = np.array(delta_n, dtype=float), np.array(phase, dtype=float)
         self._derived: dict[str, tuple[ModeSet | None, Any]] = {}
 
@@ -290,7 +297,7 @@ def compile_multiplex(
     n = modes.dimension
     unitary = as_unitary(unitary, n)
     signal_positions = [modes.position(mode) for mode in modes.signals]
-    rows = []
+    rows, norms = [], []
     for i, partner in enumerate(modes.references):
         kept = [j for j in range(n) if abs(unitary[i, j]) > _NEGLIGIBLE_COEFF]
         values = [np.conj(unitary[i, j]) for j in kept]
@@ -302,7 +309,8 @@ def compile_multiplex(
             )
         rows.append((modes.position(partner), [signal_positions[j] for j in kept], values,
                      index_modulation, 0.0))
-    return Hologram(_FringeTable(modes.universe, rows), label=label)
+        norms.append(total)
+    return Hologram(_FringeTable(modes.universe, rows, norms), label=label)
 
 
 def compile_redirection(

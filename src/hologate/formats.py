@@ -6,8 +6,10 @@ Floats use Python's shortest round-trip repr, so identical inputs always
 produce byte-identical files and coefficients survive a round trip
 bit-exactly.  `dump_json` writes that text itself, because the stdlib
 serves indented output only from its pure-Python generator encoder,
-which took most of the time of compiling a large plan.  Matrices are
-stored row-major as [re, im] pairs.
+which took most of the time of compiling a large plan.  It writes plan
+coefficients from one template, and `plan_from_dict` builds a coefficient's
+JSON path only when one of its checks fails.  Matrices are stored
+row-major as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -59,13 +61,17 @@ def dump_json(payload: dict, path: str | Path) -> None:
 _escape = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
+_COEFFICIENT_KEYS, _MODE_KEYS = {"im", "mode", "re"}, {"index", "role"}
+#: A plan coefficient's stdlib text at indent 0; %r writes an exact float or int as json does.
+_COEFFICIENT = '{\n  "im": %r,\n  "mode": {\n    "index": %r,\n    "role": %s\n  },\n  "re": %r\n}'
 
 
 def _encode(value: Any, newline: str, parts: list[str]) -> None:
     """Append the JSON text of `value` to `parts`, testing types in the stdlib's order.
 
     `newline` is a newline plus the indent of the line `value` starts on.
-    A dict key that is not a string raises TypeError from `_escape`.
+    A dict key that is not a string raises TypeError from `_escape`.  A list item
+    of exactly `_COEFFICIENT`'s keys and types, and finite, is written from it.
     """
     if isinstance(value, str):
         parts.append(_escape(value))
@@ -83,10 +89,18 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
         parts.append(_float_repr(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        separator = "[" + inner
+        separator, template = "[" + inner, None
         for item in value:
-            parts.append(separator)
-            _encode(item, inner, parts)
+            if (type(item) is dict and item.keys() == _COEFFICIENT_KEYS
+                    and type(mode := item["mode"]) is dict and mode.keys() == _MODE_KEYS
+                    and type(re := item["re"]) is float and type(im := item["im"]) is float
+                    and type(index := mode["index"]) is int and type(role := mode["role"]) is str
+                    and math.isfinite(re) and math.isfinite(im)):
+                template = template or _COEFFICIENT.replace("\n", inner)
+                parts.append(separator + template % (im, index, _escape(role), re))
+            else:
+                parts.append(separator)
+                _encode(item, inner, parts)
             separator = "," + inner
         parts.append(newline + "]" if value else "[]")
     elif isinstance(value, dict):
@@ -321,16 +335,17 @@ def plan_to_dict(stack: GratingStack) -> dict:
     holograms = []
     for hologram in stack.holograms:
         table = hologram._fringes
-        modes, coefficient, bounds = table.modes, table.coefficient.tolist(), table.bounds
+        keys = [_mode_key(m) for m in table.modes]  # each fringe writes its own copy
+        order = [(key["role"], key["index"]) for key in keys]
+        component, partner = table.component.tolist(), table.partner.tolist()
+        coefficient, bounds = table.coefficient.tolist(), table.bounds
         exposures = []
         rows = zip(bounds, bounds[1:], table.delta_n.tolist(), table.phase.tolist())
         for a, b, delta_n, phase in rows:
-            components = [modes[m] for m in table.component[a:b].tolist()]
-            fringes = sorted(zip(components, coefficient[a:b]),
-                             key=lambda mc: (mc[0].role.value, mc[0].index))
-            coefficients = [{"mode": _mode_key(m), "re": c.real, "im": c.imag} for m, c in fringes]
-            exposures.append({"partner": _mode_key(modes[table.partner[a]]),
-                              "coefficients": coefficients, "delta_n": delta_n, "phase_rad": phase})
+            fringes = sorted(zip(component[a:b], coefficient[a:b]), key=lambda mc: order[mc[0]])
+            coefficients = [{"mode": {**keys[m]}, "re": v.real, "im": v.imag} for m, v in fringes]
+            exposures.append({"partner": {**keys[partner[a]]}, "coefficients": coefficients,
+                              "delta_n": delta_n, "phase_rad": phase})
         holograms.append(
             {
                 "label": hologram.label,
@@ -350,18 +365,30 @@ def plan_from_dict(payload: dict) -> GratingStack:
     if payload.get("format") != PLAN_FORMAT:
         raise FileFormatError(f"plan: expected format {PLAN_FORMAT!r}")
     modes = make_cone_basis(geometry_from_dict(_field(payload, "geometry", "plan", dict)))
+    n, offsets = modes.dimension, {Role.SIGNAL.value: 0, Role.REFERENCE.value: modes.dimension}
 
     def rows(h_payload: dict, h_context: str):  # universe positions, read as the table asks
         for j, e_payload in enumerate(_field(h_payload, "exposures", h_context, list)):
             e_context = f"{h_context}.exposures[{j}]"
             components, coefficients, used = [], [], set()
             for k, c_payload in enumerate(_field(e_payload, "coefficients", e_context, list)):
-                c_context = f"{e_context}.coefficients[{k}]"
-                coefficients.append(complex(_field(c_payload, "re", c_context, float),
-                                            _field(c_payload, "im", c_context, float)))
-                position = _position_from_key(c_payload, "mode", c_context, modes)
+                try:  # exact types read plainly; `_field` reads a failed one again, by its path
+                    exact = (type(c_payload) is dict and type(mode := c_payload["mode"]) is dict
+                             and type(re := c_payload["re"]) is float is type(im := c_payload["im"])
+                             and type(role := mode["role"]) is str and role in offsets
+                             and type(index := mode["index"]) is int and 0 < index <= n)
+                except KeyError:
+                    exact = False
+                if exact:
+                    position = offsets[role] + index - 1
+                else:
+                    c_context = f"{e_context}.coefficients[{k}]"
+                    re, im = (_field(c_payload, key, c_context, float) for key in ("re", "im"))
+                    position = _position_from_key(c_payload, "mode", c_context, modes)
+                coefficients.append(complex(re, im))
                 if position in used:
-                    raise FileFormatError(f"{c_context}.mode: listed twice in one exposure")
+                    raise FileFormatError(
+                        f"{e_context}.coefficients[{k}].mode: listed twice in one exposure")
                 used.add(position)
                 components.append(position)
             partner = _position_from_key(e_payload, "partner", e_context, modes)
