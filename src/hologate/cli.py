@@ -2,11 +2,17 @@
 
 Exit codes: 0 success, 1 internal numerical failure, 2 malformed input
 files or flags, 3 verification below threshold.
+
+`main` builds its parser once per process and calls this module's
+`cmd_<command>` as found at call time.  A process that calls `main` many
+times (tests, notebooks, scripts, the benchmark) saves about 1 ms a call;
+a console-script run, which parses once, saves nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -37,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_init = sub.add_parser("init", help="write sample geometry and material config files")
     p_init.add_argument("--dimension", type=int, default=8)
     p_init.add_argument("--out-dir", default=".")
-    p_init.set_defaults(func=cmd_init)
 
     p_compile = sub.add_parser("compile", help="turn a unitary or circuit into a recording plan")
     src = p_compile.add_mutually_exclusive_group(required=True)
@@ -54,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("--delta-n", type=float, default=compiler.DEFAULT_INDEX_MODULATION)
     p_compile.add_argument("--label", default="multiplex")
-    p_compile.set_defaults(func=cmd_compile)
 
     p_sim = sub.add_parser("simulate", help="simulate a plan and write the transfer result")
     p_sim.add_argument("--plan", required=True)
@@ -63,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="no effect: --crosstalk alone adds parasitic couplings")
     p_sim.add_argument("--crosstalk", action="store_true")
     p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="simulate a plan and compare against a target unitary")
     p_verify.add_argument("--plan", required=True)
@@ -71,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--material")
     p_verify.add_argument("--threshold", type=float, default=metrics.DEFAULT_FIDELITY_THRESHOLD)
     p_verify.add_argument("--out", help="optional report JSON file")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="angular selectivity sweep to CSV")
     p_sweep.add_argument("--plan", required=True)
@@ -80,13 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--samples", type=int, default=65)
     p_sweep.add_argument("--crosstalk", action="store_true")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_feas = sub.add_parser("feasibility", help="thickness/selectivity budget for a plan")
     p_feas.add_argument("--plan", required=True)
     p_feas.add_argument("--material", required=True)
     p_feas.add_argument("--out", help="optional report JSON file")
-    p_feas.set_defaults(func=cmd_feasibility)
 
     p_qt = sub.add_parser(
         "teleport-demo",
@@ -102,10 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_demo.add_argument(
             "--threshold", type=float, default=metrics.DEFAULT_FIDELITY_THRESHOLD
         )
-    p_qt.set_defaults(func=cmd_teleport_demo)
-    p_cnot.set_defaults(func=cmd_cnot_demo)
 
     return parser
+
+
+_parser = functools.cache(build_parser)
 
 
 def _load_geometry(path: str) -> ConeGeometry:
@@ -337,13 +338,12 @@ def cmd_cnot_demo(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (StepUnderflow, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -227,15 +227,22 @@ def build_coupling(
     order, the order of an exhaustive scan over all pairs, so every merge,
     dropped degenerate fringe and float sum, and so the result, is
     bit-for-bit that scan's.
+
+    The system is computed once per hologram and mode set and kept, read-only,
+    with the fringe table; the `_strengths` checks run on every call.
     """
+    kappa0, strengths = _strengths(hologram, modes, material)
+    table = hologram._fringes
+    return table.derived("coupling", modes, lambda: _coupling(table, modes, kappa0, strengths))
+
+
+def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingSystem:
     wavelength = modes.geometry.wavelength
     transverse_tol = TWO_PI / modes.geometry.aperture_breadth
     universe = modes.universe
     vectors = modes.wave_vectors
     n = len(universe)
 
-    table = hologram._fringes
-    kappa0, strengths = _strengths(hologram, modes, material)
     positions = table.positions(modes)
     m, p = positions[table.component], positions[table.partner]
     # The fringe phase factor exp(i (arg c + phi)), which every replay shares.
@@ -297,6 +304,8 @@ def build_coupling(
             kappa[a, b] += value
             kappa[b, a] += np.conj(value)
 
+    for array in (kappa, xi, recorded):
+        array.flags.writeable = False
     return CouplingSystem(
         modes=universe,
         kappa=kappa,

@@ -294,13 +294,13 @@ def compile_multiplex(
     negligible magnitude produce no fringe.  A row whose squared norm is
     not within _COEFF_NORM_TOL of 1 raises NotUnitary naming the row.
     """
-    n = modes.dimension
-    unitary = as_unitary(unitary, n)
+    unitary = as_unitary(unitary, modes.dimension)
     signal_positions = [modes.position(mode) for mode in modes.signals]
     rows, norms = [], []
     for i, partner in enumerate(modes.references):
-        kept = [j for j in range(n) if abs(unitary[i, j]) > _NEGLIGIBLE_COEFF]
-        values = [np.conj(unitary[i, j]) for j in kept]
+        row = unitary[i].tolist()
+        kept = [j for j, value in enumerate(row) if abs(value) > _NEGLIGIBLE_COEFF]
+        values = [row[j].conjugate() for j in kept]
         total = _norm_squared(values)
         if not abs(total - 1.0) <= _COEFF_NORM_TOL:
             raise NotUnitary(

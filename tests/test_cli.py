@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+import hologate.cli as cli
 import hologate.cmt as cmt
 from hologate.circuit import CNOT_MATRIX
-from hologate.cli import main
+from hologate.cli import build_parser, main
 from hologate.formats import dump_json, load_json, matrix_to_dict
 from hologate.modes import MAX_DIMENSION
 
@@ -263,7 +264,7 @@ class TestOtherCommands:
 
 
 class TestBuildCounts:
-    """`verify`, `simulate` and `sweep` build each hologram's coupling exactly once."""
+    """Every command computes each hologram's coupling exactly once."""
 
     @pytest.fixture()
     def plan(self, tmp_path):
@@ -278,17 +279,19 @@ class TestBuildCounts:
 
     @pytest.fixture()
     def builds(self, monkeypatch):
+        """(label, system) of every `build_coupling` call; the list keeps each
+        system alive, so distinct ids are distinct couplings computed."""
         import hologate.cmt as cmt
 
-        labels = []
+        calls = []
         build = cmt.build_coupling
 
         def counted(hologram, *args, **kwargs):
-            labels.append(hologram.label)
-            return build(hologram, *args, **kwargs)
+            calls.append((hologram.label, build(hologram, *args, **kwargs)))
+            return calls[-1][1]
 
         monkeypatch.setattr(cmt, "build_coupling", counted)
-        return labels
+        return calls
 
     @pytest.mark.parametrize("command", ["verify", "simulate", "sweep"])
     def test_one_build_per_hologram(self, tmp_path, plan, builds, command):
@@ -301,7 +304,71 @@ class TestBuildCounts:
                       "--samples", "2", "--out", str(tmp_path / "s.csv")],
         }[command]
         assert main(argv) == 0
-        assert sorted(builds) == ["multiplex", "redirection"]
+        assert sorted(label for label, _ in builds) == ["multiplex", "redirection"]
+
+    @pytest.mark.parametrize("demo, computed", [("cnot-demo", 4), ("teleport-demo", 2)])
+    def test_demos_compute_one_coupling_per_hologram(self, builds, demo, computed):
+        # The sweep of hologram 0 and teleport-demo's bare check reuse the
+        # coupling the stack's simulation computed.
+        assert main([demo]) == 0
+        systems = {id(system): label for label, system in builds}
+        assert len(systems) == computed
+        assert sorted(systems.values()) == sorted({label for label, _ in builds})
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process, and it behaves as a fresh one."""
+
+    @staticmethod
+    def fresh(argv, capsys):
+        """Exit code, stdout and stderr of a new parser's parse_args(argv)."""
+        try:
+            build_parser().parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = int(exc.code) if exc.code else 0
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_errors_and_help_repeat_a_fresh_parser(self, tmp_path, capsys):
+        missing_flag = ["verify", "--plan", "p.json"]
+        sequence = [
+            missing_flag,
+            ["transmogrify"],
+            ["compile", "--unitary", "u.json", "--circuit", "c.json",
+             "--geometry", "g.json", "--out", "o.json"],
+            ["sweep", "--help"],
+            ["init", "--dimension", "2", "--out-dir", str(tmp_path / "cfg")],
+            missing_flag,
+        ]
+        for argv in sequence:
+            code, out, err = self.fresh(argv, capsys)
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.err == err
+            if argv[0] != "init":  # init's own output follows a successful parse
+                assert captured.out == out
+        assert [self.fresh(argv, capsys)[0] for argv in sequence] == [2, 2, 2, 0, 0, 2]
+
+    def test_help_width_follows_columns(self, monkeypatch, capsys):
+        texts = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main(["sweep", "--help"]) == 0
+            texts.append(capsys.readouterr().out)
+            assert texts[-1] == self.fresh(["sweep", "--help"], capsys)[1]
+        assert texts[0] != texts[1]
+
+    def test_patched_command_runs_after_first_call(self, tmp_path, monkeypatch):
+        assert main(["init", "--dimension", "2", "--out-dir", str(tmp_path)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.plan) or 7)
+        assert main(["verify", "--plan", "p.json", "--target", "t.json"]) == 7
+        assert seen == ["p.json"]
 
 
 class TestNonFiniteInput:
