@@ -15,6 +15,7 @@ dropped as degenerate never has its coupling strength computed.
 
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ def test_coefficients_are_a_read_only_view():
     exposure = compile_redirection(modes).exposures[0]
     with pytest.raises(TypeError):
         exposure.coefficients[modes.references[1]] = 1.0
+
+
+def test_coupling_kept_read_only_and_ceiling_checked_every_call(material):
+    modes = make_cone_basis(geometry(4))
+    hologram = compile_multiplex(haar_unitary(4, np.random.default_rng(3)), modes)
+    system = build_coupling(hologram, modes, material)
+    assert build_coupling(hologram.with_thickness(1e-3), modes) is system
+    for array in (system.kappa, system.xi, system.recorded_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+    low = replace(material, max_index_modulation=hologram._fringes.delta_n.max() / 2)
+    with pytest.raises(ValueError, match="exceeds material ceiling"):
+        build_coupling(hologram, modes, low)
 
 
 def test_plan_survives_pickle_and_deepcopy(material):
