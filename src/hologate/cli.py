@@ -202,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     target = formats.matrix_from_dict(formats.load_json(args.target))
     target = compiler.as_unitary(target, stack.mode_set.dimension)
-    _, _, report = _verified(stack, target, _load_material(args.material), args.threshold)
+    _, result, report = _verified(stack, target, _load_material(args.material), args.threshold)
     if args.out:
         formats.dump_json(formats.fidelity_report_to_dict(report), args.out)
     status = "PASS" if report.passed else "FAIL"
@@ -210,7 +210,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"fidelity {report.fidelity:.12f} (threshold {report.threshold:.12f}) "
         f"global phase {report.global_phase:+.6f} rad: {status}"
     )
-    return EXIT_OK if report.passed else EXIT_BELOW_THRESHOLD
+    if report.passed:
+        return EXIT_OK
+    if result.merged_replays:
+        print(f"note: {result.merged_replays} parasitic replays merged onto recorded pairs: "
+              "the aperture does not resolve their gratings within 2*pi/D", file=sys.stderr)
+    return EXIT_BELOW_THRESHOLD
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

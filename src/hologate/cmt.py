@@ -82,13 +82,18 @@ MAX_SAMPLES = 100_000
 
 @dataclass(frozen=True)
 class CouplingSystem:
-    """All couplings one hologram induces on the 2N-mode universe."""
+    """All couplings one hologram induces on the 2N-mode universe.
+
+    `merged_replays` counts parasitic replays added to a recorded pair's
+    coupling: gratings within 2*pi/D that the aperture cannot resolve.
+    """
 
     modes: tuple[PlaneWaveMode, ...]
     kappa: np.ndarray
     xi: np.ndarray
     recorded_mask: np.ndarray
     exposure_strengths: tuple[float, ...]
+    merged_replays: int = 0
 
     def __post_init__(self):
         kappa = np.asarray(self.kappa, dtype=complex)
@@ -112,12 +117,14 @@ class TransferResult:
     """Realized transfer matrix over a mode universe.
 
     `per_mode_efficiency[j]` is the largest single-output-mode power
-    fraction for unit input in universe mode j.
+    fraction for unit input in universe mode j.  `merged_replays` sums the
+    slabs' `CouplingSystem.merged_replays`.
     """
 
     transfer: np.ndarray
     thickness_used: float
     modes: tuple[PlaneWaveMode, ...]
+    merged_replays: int = 0
 
     @property
     def per_mode_efficiency(self) -> tuple[float, ...]:
@@ -226,7 +233,8 @@ def build_coupling(
     by the scalar test and added in exposure, component, row-major (a, b)
     order, the order of an exhaustive scan over all pairs, so every merge,
     dropped degenerate fringe and float sum, and so the result, is
-    bit-for-bit that scan's.
+    bit-for-bit that scan's.  The triage skips a fringe's own pair by its
+    flat index and reads plain Python values; only kept replays write arrays.
 
     The system is computed once per hologram and mode set and kept, read-only,
     with the fringe table; the `_strengths` checks run on every call.
@@ -265,9 +273,6 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     first = owner[p, m] > fringe
     xi = np.zeros((n, n))
     xi[p[first], m[first]] = -0.0
-    # At most one detuning per unordered pair: later contributions merge
-    # into the first, so per-pair detunings stay single-valued.
-    paired = recorded.copy()
 
     # Pass 2: parasitic replays of each fringe by other, nearly matched pairs.
     gratings = vectors[m] - vectors[p]
@@ -277,21 +282,29 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     budget = n * n // 2 * max(b - a for a, b in zip(table.bounds, table.bounds[1:]))
     candidate_bound = transverse_tol * (1.0 + 1e-9)
     search = _near_pairs(transverse, gratings[:, :2], candidate_bound, budget)
-    vecs, grats, ms, ps = vectors.tolist(), gratings.tolist(), m.tolist(), p.tolist()
+    vecs, grats, own = vectors.tolist(), gratings.tolist(), (m * n + p).tolist()
     rows, weight, delta_n = table.row.tolist(), table.weight.tolist(), table.delta_n.tolist()
+    # At most one detuning per unordered pair: later contributions merge
+    # into the first, so per-pair detunings stay single-valued.  The triage
+    # reads plain Python values and writes numpy only for kept replays;
+    # `detunings` holds the parasitic pairs', a recorded pair's is +-0.0.
+    paired, detunings, merged = recorded.tolist(), {}, 0
     for near_grating, near_pair in search:
         for g, ab in zip(near_grating.tolist(), near_pair.tolist()):
+            if ab == own[g]:
+                continue
             a, b = divmod(ab, n)
-            if a == b or (a == ms[g] and b == ps[g]):
+            if a == b:
                 continue
             (ax, ay, az), (bx, by, bz), (gx, gy, gz) = vecs[a], vecs[b], grats[g]
             if math.hypot(ax - bx - gx, ay - by - gy) >= transverse_tol:
                 continue
             detuning = az - bz - gz
-            if not paired[a, b]:
-                paired[a, b] = paired[b, a] = True
+            if not paired[a][b]:
+                paired[a][b] = paired[b][a] = True
+                detunings[ab], detunings[b * n + a] = detuning, -detuning
                 xi[a, b], xi[b, a] = detuning, -detuning
-            elif abs(xi[a, b] - detuning) > 1e-6:
+            elif abs(detunings.get(ab, 0.0) - detuning) > 1e-6:
                 # Two fringes drive this pair at different mismatch rates (a
                 # degeneracy of symmetric cone layouts: a grating can weakly
                 # address the antipodal recorded pair).  The better-matched
@@ -299,6 +312,8 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
                 # replay is dropped, before its strength is taken; per-pair
                 # multi-fringe phases are outside this matrix-form model.
                 continue
+            elif recorded[a, b]:
+                merged += 1
             strength = _pair_strength(delta_n[rows[g]], wavelength, universe[a], universe[b])
             value = strength * weight[g] * phasor[g]
             kappa[a, b] += value
@@ -312,6 +327,7 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
         xi=xi,
         recorded_mask=recorded,
         exposure_strengths=strengths,
+        merged_replays=merged,
     )
 
 
@@ -373,12 +389,27 @@ def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
     d is fixed by a spanning-tree walk over the coupled pairs (kappa != 0),
     with d = 0 at the first mode of each connected component; the residual
     is max |xi_nm - (d_n - d_m)| over every coupled pair, so it is zero
-    exactly when a potential explains all the detunings that act.
+    exactly when a potential explains all the detunings that act.  When no
+    coupled detuning is nonzero (every untilted slab without crosstalk) the
+    walk would give +0.0 everywhere, so zeros are returned without it.
     """
-    coupled = kappa != 0.0
-    n = kappa.shape[0]
-    potential = np.zeros(n)
-    reached = np.zeros(n, dtype=bool)
+    rows, cols = np.nonzero(kappa)
+    if not xi[rows, cols].any():
+        return np.zeros(kappa.shape[0]), 0.0
+    potential = _walk(kappa.shape[0], rows.tolist(), cols.tolist(), xi[cols, rows].tolist())
+    misfit = np.abs(xi - (potential[:, None] - potential[None, :]))[rows, cols]
+    return potential, float(misfit.max(initial=0.0))
+
+
+def _walk(n: int, rows: list, cols: list, rates: list) -> np.ndarray:
+    """`_potential`'s walk over the coupled pairs (rows[i], cols[i]), row-major,
+    rates[i] being xi[cols[i], rows[i]].  Last in, first out, and unreached
+    neighbours in ascending order: the tree of a per-mode `np.flatnonzero` walk.
+    """
+    neighbours = [[] for _ in range(n)]
+    for m, k, rate in zip(rows, cols, rates):
+        neighbours[m].append((k, rate))
+    potential, reached = [0.0] * n, [False] * n
     for root in range(n):
         if reached[root]:
             continue
@@ -386,12 +417,12 @@ def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
         frontier = [root]
         while frontier:
             m = frontier.pop()
-            for k in np.flatnonzero(coupled[m] & ~reached).tolist():
-                potential[k] = potential[m] + xi[k, m]
-                reached[k] = True
-                frontier.append(k)
-    misfit = np.abs(xi - (potential[:, None] - potential[None, :]))[coupled]
-    return potential, float(misfit.max(initial=0.0))
+            for k, rate in neighbours[m]:
+                if not reached[k]:
+                    potential[k] = potential[m] + rate
+                    reached[k] = True
+                    frontier.append(k)
+    return np.array(potential)
 
 
 def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float) -> int:
@@ -523,7 +554,8 @@ def detuned_transfer(
     slabs, error = _slab_transfers(system, thickness, include_crosstalk, [shift])
     if error is not None:
         raise error
-    return TransferResult(transfer=slabs[0], thickness_used=thickness, modes=system.modes)
+    return TransferResult(transfer=slabs[0], thickness_used=thickness, modes=system.modes,
+                          merged_replays=system.merged_replays)
 
 
 def tune_stack(stack: GratingStack, material: MaterialSpec | None = None) -> GratingStack:
@@ -570,18 +602,23 @@ def simulate_stack(
     docstring.  `include_crosstalk` is passed to every slab, each built and
     run before the next hologram is checked.
     """
+    systems = []
+
     def slabs():
         for hologram in stack.holograms:
             if hologram.thickness is None:
                 raise ValueError(
                     f"hologram {hologram.label!r} has no thickness; tune the stack first"
                 )
-            yield build_coupling(hologram, stack.mode_set, material), hologram.thickness
+            systems.append(build_coupling(hologram, stack.mode_set, material))
+            yield systems[-1], hologram.thickness
 
     universe = stack.mode_set.universe
     [transfer] = _stack_transfers(slabs(), len(universe), include_crosstalk, [None])
     total = sum((h.thickness for h in stack.holograms), 0.0)
-    return TransferResult(transfer=transfer, thickness_used=total, modes=universe)
+    merged = sum(system.merged_replays for system in systems)
+    return TransferResult(transfer=transfer, thickness_used=total, modes=universe,
+                          merged_replays=merged)
 
 
 def _dominant_input(hologram: Hologram, modes: ModeSet) -> PlaneWaveMode:

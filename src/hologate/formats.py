@@ -6,10 +6,12 @@ Floats use Python's shortest round-trip repr, so identical inputs always
 produce byte-identical files and coefficients survive a round trip
 bit-exactly.  `dump_json` writes that text itself, because the stdlib
 serves indented output only from its pure-Python generator encoder,
-which took most of the time of compiling a large plan.  It writes plan
-coefficients from one template, and `plan_from_dict` builds a coefficient's
-JSON path only when one of its checks fails.  Matrices are stored
-row-major as [re, im] pairs.
+which took most of the time of compiling a large plan.  It writes four
+list item shapes from `%`-templates: plan coefficients, {"index", "role"}
+mode keys, finite [re, im] float pairs and finite floats; any other item
+takes the generic path.  `plan_from_dict` builds a coefficient's JSON path
+only when one of its checks fails.  Every file is read as UTF-8, whatever
+the locale.  Matrices are stored row-major as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -62,16 +64,38 @@ _escape = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _COEFFICIENT_KEYS, _MODE_KEYS = {"im", "mode", "re"}, {"index", "role"}
-#: A plan coefficient's stdlib text at indent 0; %r writes an exact float or int as json does.
+#: The stdlib text at indent 0 of a plan coefficient, a mode key and an [re, im]
+#: pair; %r writes an exact float or int as json does.
 _COEFFICIENT = '{\n  "im": %r,\n  "mode": {\n    "index": %r,\n    "role": %s\n  },\n  "re": %r\n}'
+_MODE = '{\n  "index": %r,\n  "role": %s\n}'
+_PAIR = "[\n  %r,\n  %r\n]"
+
+
+def _templated(item: Any) -> tuple[str, tuple] | None:
+    """The template and `%`-arguments of a finite float, a finite [re, im]
+    float pair or a mode key of exactly `_MODE`'s keys and types, else None."""
+    kind = type(item)
+    if kind is float:
+        return ("%r", (item,)) if math.isfinite(item) else None
+    if kind is list:
+        if (len(item) == 2 and type(re := item[0]) is float and type(im := item[1]) is float
+                and math.isfinite(re) and math.isfinite(im)):
+            return _PAIR, (re, im)
+    elif (kind is dict and item.keys() == _MODE_KEYS
+            and type(index := item["index"]) is int and type(role := item["role"]) is str):
+        return _MODE, (index, _escape(role))
+    return None
 
 
 def _encode(value: Any, newline: str, parts: list[str]) -> None:
     """Append the JSON text of `value` to `parts`, testing types in the stdlib's order.
 
     `newline` is a newline plus the indent of the line `value` starts on.
-    A dict key that is not a string raises TypeError from `_escape`.  A list item
-    of exactly `_COEFFICIENT`'s keys and types, and finite, is written from it.
+    A dict key that is not a string raises TypeError from `_escape`.  A list
+    item of exactly `_COEFFICIENT`'s keys and types, and finite, is written
+    from it, and takes no other test; any other item that `_templated`
+    matches is written from its template.  The rest, NaN and infinity
+    included, take the generic path.
     """
     if isinstance(value, str):
         parts.append(_escape(value))
@@ -89,15 +113,20 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
         parts.append(_float_repr(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        separator, template = "[" + inner, None
+        separator, coefficient, shape = "[" + inner, None, None
         for item in value:
             if (type(item) is dict and item.keys() == _COEFFICIENT_KEYS
                     and type(mode := item["mode"]) is dict and mode.keys() == _MODE_KEYS
                     and type(re := item["re"]) is float and type(im := item["im"]) is float
                     and type(index := mode["index"]) is int and type(role := mode["role"]) is str
                     and math.isfinite(re) and math.isfinite(im)):
-                template = template or _COEFFICIENT.replace("\n", inner)
-                parts.append(separator + template % (im, index, _escape(role), re))
+                coefficient = coefficient or _COEFFICIENT.replace("\n", inner)
+                parts.append(separator + coefficient % (im, index, _escape(role), re))
+            elif (templated := _templated(item)) is not None:
+                template, args = templated
+                if template is not shape:  # indented once per run of one shape
+                    shape, indented = template, template.replace("\n", inner)
+                parts.append(separator + indented % args)
             else:
                 parts.append(separator)
                 _encode(item, inner, parts)
@@ -116,11 +145,13 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
 
 
 def load_json(path: str | Path) -> dict:
+    """The JSON object in the file at `path`, read as UTF-8 whatever the locale
+    (RFC 8259 section 8.1)."""
     def reject(token: str) -> float:
         raise FileFormatError(f"{path}: non-standard JSON number {token}")
 
     try:
-        payload = json.loads(Path(path).read_text(), parse_constant=reject)
+        payload = json.loads(Path(path).read_bytes(), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -212,11 +243,8 @@ def material_from_dict(payload: dict) -> MaterialSpec:
 # -- matrices ----------------------------------------------------------------
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:
-    matrix = np.asarray(matrix, dtype=complex)
-    return {
-        "dim": matrix.shape[0],
-        "entries": [[float(v.real), float(v.imag)] for v in matrix.reshape(-1)],
-    }
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    return {"dim": matrix.shape[0], "entries": matrix.reshape(-1, 1).view(float).tolist()}
 
 
 def matrix_from_dict(payload: dict) -> np.ndarray:

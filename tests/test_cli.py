@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -72,11 +73,12 @@ class TestCompileSimulateVerify:
             "--threshold", "0.999999",
         ]) == 3
 
-    def test_verify_n64_haar_fails_on_merged_replays(self, tmp_path, monkeypatch):
+    def test_verify_n64_haar_fails_on_merged_replays(self, tmp_path, monkeypatch, capsys):
         # At N = 64 the sample geometry's 5 mm aperture cannot tell some
         # parasitic replays from recorded pairs, and pass 2 merges them onto
-        # the recorded couplings: the plan misses its own target.  With no
-        # parasitic candidates the same plan verifies at fidelity 1.
+        # the recorded couplings: the plan misses its own target, and verify
+        # says why.  With no parasitic candidates the same plan verifies at
+        # fidelity 1, and says nothing.
         cfg = tmp_path / "cfg"
         assert main(["init", "--dimension", "64", "--out-dir", str(cfg)]) == 0
         target = tmp_path / "haar64.json"
@@ -85,12 +87,35 @@ class TestCompileSimulateVerify:
         assert main(["compile", "--unitary", str(target),
                      "--geometry", str(cfg / "geometry.json"), "--out", str(plan)]) == 0
         verify = ["verify", "--plan", str(plan), "--target", str(target), "--out"]
+        capsys.readouterr()
         assert main([*verify, str(tmp_path / "report.json")]) == 3
         assert load_json(tmp_path / "report.json")["fidelity"] < 0.95
+        assert capsys.readouterr().err == (
+            "note: 512 parasitic replays merged onto recorded pairs: the aperture "
+            "does not resolve their gratings within 2*pi/D\n")
 
         monkeypatch.setattr(cmt, "_near_pairs", lambda *args: iter(()))
         assert main([*verify, str(tmp_path / "lazy.json")]) == 0
         assert load_json(tmp_path / "lazy.json")["fidelity"] > 1.0 - 1e-9
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("matched, code", [(True, 0), (False, 3)])
+    def test_verify_without_merged_replays_writes_no_note(self, tmp_path, capsys, matched,
+                                                          code):
+        # Every N = 16 replay is its own pair or is dropped as degenerate.
+        cfg = tmp_path / "cfg"
+        assert main(["init", "--dimension", "16", "--out-dir", str(cfg)]) == 0
+        rng = np.random.default_rng(16)
+        right, wrong = tmp_path / "right.json", tmp_path / "wrong.json"
+        write_matrix(right, haar_unitary(16, rng))
+        write_matrix(wrong, haar_unitary(16, rng))
+        plan = tmp_path / "plan.json"
+        assert main(["compile", "--unitary", str(right),
+                     "--geometry", str(cfg / "geometry.json"), "--out", str(plan)]) == 0
+        capsys.readouterr()
+        target = right if matched else wrong
+        assert main(["verify", "--plan", str(plan), "--target", str(target)]) == code
+        assert capsys.readouterr().err == ""
 
     def test_compile_non_unitary_exits_2_with_diagnostic(self, tmp_path, config_dir, capsys):
         bad = tmp_path / "bad.json"
@@ -538,6 +563,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_input_files_are_read_as_utf8_in_the_c_locale(tmp_path):
+    material = {"name": "PTR-Glas für 1550 nm", "max_total_thickness_m": 2.5e-2,
+                "max_index_modulation": 1e-3, "meters_per_recording": 1e-3}
+    path = tmp_path / "m.json"
+    path.write_bytes(json.dumps(material, ensure_ascii=False).encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hologate.cli", "cnot-demo", "--material", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 class TestThresholdBounds:
