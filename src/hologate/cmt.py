@@ -455,6 +455,16 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
     coupling matrix at every stage, and an uncoupled entry there adds
     only a signed zero to a propagator whose zeros stay +0, so each slice
     of the result is bit-identical to that loop run on it alone.
+
+    The loop's stage k_j = i (M @ Y) is kept as the bare product M @ Y, and
+    i joins the real step instead: (i half) * x for half * (i x), and
+    (i sixth) * (x1 + 2 x2 + 2 x3 + x4) for sixth * (i x1 + 2 i x2 + ...).
+    Multiplying by i only swaps and negates the parts of x, and
+    round-to-nearest is symmetric in sign, so both sides round the same
+    real products and sums, fused multiply-add or not; they can differ
+    only in the sign of a zero, which adding to the propagator erases.
+    The products, the stage input and the running sum are written with
+    out= into buffers made once per call, which changes no bits either.
     """
     h = thickness / steps
     n = kappa.shape[-1]
@@ -468,7 +478,16 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
     entries = matrices.reshape(-1)
     targets = (np.arange(3 * len(coupling))[:, None] * (n * n) + coupled).ravel()
     half, sixth = 0.5 * h, h / 6.0
+    ihalf, ih, isixth = 1j * half, 1j * h, 1j * sixth
     propagator = np.broadcast_to(np.eye(n, dtype=complex), kappa.shape).copy()
+    # The products M @ Y of stages 1-4 (the fourth reuses x2's buffer once
+    # it is summed), and the input Y + c x of stages 2-4.
+    x1, x2, x3, buffer = (np.empty_like(propagator) for _ in range(4))
+
+    def stage(factor, product):
+        np.multiply(factor, product, out=buffer)
+        return np.add(propagator, buffer, out=buffer)
+
     for first in range(0, steps, chunk):
         z = np.arange(first, min(first + chunk, steps)) * h
         nodes = np.stack([z, z + half, z + h], axis=1)
@@ -477,11 +496,17 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
         values = coupling * np.exp(rate * nodes[..., None, None])
         for step_values in values.reshape(z.size, -1):
             entries[targets] = step_values
-            k1 = 1j * (start @ propagator)
-            k2 = 1j * (middle @ (propagator + half * k1))
-            k3 = 1j * (middle @ (propagator + half * k2))
-            k4 = 1j * (end @ (propagator + h * k3))
-            propagator = propagator + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.matmul(start, propagator, out=x1)
+            np.matmul(middle, stage(ihalf, x1), out=x2)
+            np.matmul(middle, stage(ihalf, x2), out=x3)
+            np.multiply(2.0, x2, out=x2)
+            np.add(x1, x2, out=x1)
+            np.matmul(end, stage(ih, x3), out=x2)
+            np.multiply(2.0, x3, out=x3)
+            np.add(x1, x3, out=x1)
+            np.add(x1, x2, out=x1)
+            np.multiply(isixth, x1, out=x1)
+            np.add(propagator, x1, out=propagator)
     return propagator
 
 

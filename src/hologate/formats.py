@@ -154,6 +154,8 @@ def load_json(path: str | Path) -> dict:
         payload = json.loads(Path(path).read_bytes(), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     return payload

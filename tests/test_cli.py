@@ -579,6 +579,16 @@ def test_input_files_are_read_as_utf8_in_the_c_locale(tmp_path):
     assert proc.stderr == ""
 
 
+def test_input_file_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    assert main(["cnot-demo", "--material", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FileFormatError: {path}: not UTF-8 text (")
+    assert "can't decode byte 0xff in position 10" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestThresholdBounds:
     """A fidelity threshold outside [0, 1] exits 2 before any file is written."""
 
