@@ -284,11 +284,11 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     search = _near_pairs(transverse, gratings[:, :2], candidate_bound, budget)
     vecs, grats, own = vectors.tolist(), gratings.tolist(), (m * n + p).tolist()
     rows, weight, delta_n = table.row.tolist(), table.weight.tolist(), table.delta_n.tolist()
-    # At most one detuning per unordered pair: later contributions merge
-    # into the first, so per-pair detunings stay single-valued.  The triage
-    # reads plain Python values and writes numpy only for kept replays;
-    # `detunings` holds the parasitic pairs', a recorded pair's is +-0.0.
-    paired, detunings, merged = recorded.tolist(), {}, 0
+    # At most one detuning per unordered pair: later replays merge into the
+    # first.  The triage reads plain Python values and writes numpy only for
+    # kept replays.  Recorded pairs are marked in `recorded` (detuning +-0.0);
+    # a parasitic pair's pairedness and detuning live only in `detunings`.
+    is_recorded, detunings, merged = recorded.tolist(), {}, 0
     for near_grating, near_pair in search:
         for g, ab in zip(near_grating.tolist(), near_pair.tolist()):
             if ab == own[g]:
@@ -300,11 +300,12 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
             if math.hypot(ax - bx - gx, ay - by - gy) >= transverse_tol:
                 continue
             detuning = az - bz - gz
-            if not paired[a][b]:
-                paired[a][b] = paired[b][a] = True
+            recorded_pair = is_recorded[a][b]
+            known = 0.0 if recorded_pair else detunings.get(ab)
+            if known is None:  # a new parasitic pair
                 detunings[ab], detunings[b * n + a] = detuning, -detuning
                 xi[a, b], xi[b, a] = detuning, -detuning
-            elif abs(detunings.get(ab, 0.0) - detuning) > 1e-6:
+            elif abs(known - detuning) > 1e-6:
                 # Two fringes drive this pair at different mismatch rates (a
                 # degeneracy of symmetric cone layouts: a grating can weakly
                 # address the antipodal recorded pair).  The better-matched
@@ -312,8 +313,7 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
                 # replay is dropped, before its strength is taken; per-pair
                 # multi-fringe phases are outside this matrix-form model.
                 continue
-            elif recorded[a, b]:
-                merged += 1
+            merged += recorded_pair
             strength = _pair_strength(delta_n[rows[g]], wavelength, universe[a], universe[b])
             value = strength * weight[g] * phasor[g]
             kappa[a, b] += value

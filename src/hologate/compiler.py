@@ -110,19 +110,18 @@ class _FringeTable:
     of its hologram shares it.
     """
 
-    def __init__(self, universe, rows, norms=()):
+    def __init__(self, universe, rows):
         """The one filler of a table: rows of (partner, components, coefficients, delta_n, phase).
 
         Modes are positions in `universe`, kept in `modes` in first use (components, then
-        partner); each row passes `_check_exposure` before the next row is read.  A row's
-        squared norm comes from its weights, or from `norms` when the caller has summed it.
+        partner); each row passes `_check_exposure` before the next row is read.
         """
         local: dict[int, int] = {}  # universe position -> entry of `modes`
-        exposures, components, coefficients, weights, norms = [], [], [], [], iter(norms)
+        exposures, components, coefficients, weights = [], [], [], []
         for partner, positions, values, delta_n, phase in rows:
             row_weights = [abs(c) for c in values]
             _check_exposure(values, delta_n, phase, partner, positions,
-                            next(norms, None) or sum(w * w for w in row_weights))
+                            sum(w * w for w in row_weights))
             components += [local.setdefault(m, len(local)) for m in positions]
             coefficients += values
             weights += row_weights
@@ -296,7 +295,7 @@ def compile_multiplex(
     """
     unitary = as_unitary(unitary, modes.dimension)
     signal_positions = [modes.position(mode) for mode in modes.signals]
-    rows, norms = [], []
+    rows = []
     for i, partner in enumerate(modes.references):
         row = unitary[i].tolist()
         kept = [j for j, value in enumerate(row) if abs(value) > _NEGLIGIBLE_COEFF]
@@ -309,8 +308,7 @@ def compile_multiplex(
             )
         rows.append((modes.position(partner), [signal_positions[j] for j in kept], values,
                      index_modulation, 0.0))
-        norms.append(total)
-    return Hologram(_FringeTable(modes.universe, rows, norms), label=label)
+    return Hologram(_FringeTable(modes.universe, rows), label=label)
 
 
 def compile_redirection(

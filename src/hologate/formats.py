@@ -6,12 +6,13 @@ Floats use Python's shortest round-trip repr, so identical inputs always
 produce byte-identical files and coefficients survive a round trip
 bit-exactly.  `dump_json` writes that text itself, because the stdlib
 serves indented output only from its pure-Python generator encoder,
-which took most of the time of compiling a large plan.  It writes four
-list item shapes from `%`-templates: plan coefficients, {"index", "role"}
-mode keys, finite [re, im] float pairs and finite floats; any other item
-takes the generic path.  `plan_from_dict` builds a coefficient's JSON path
-only when one of its checks fails.  Every file is read as UTF-8, whatever
-the locale.  Matrices are stored row-major as [re, im] pairs.
+which took most of the time of compiling a large plan.  One path writes four
+list item shapes from `%`-templates, re-indented once per run of a shape:
+plan coefficients, {"index", "role"} mode keys, finite [re, im] float pairs
+and finite floats; any other item takes the generic path.  `plan_from_dict`
+builds a coefficient's JSON path only when one of its checks fails.  Every
+file is read as UTF-8, whatever the locale.  Matrices are stored row-major
+as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -71,31 +72,15 @@ _MODE = '{\n  "index": %r,\n  "role": %s\n}'
 _PAIR = "[\n  %r,\n  %r\n]"
 
 
-def _templated(item: Any) -> tuple[str, tuple] | None:
-    """The template and `%`-arguments of a finite float, a finite [re, im]
-    float pair or a mode key of exactly `_MODE`'s keys and types, else None."""
-    kind = type(item)
-    if kind is float:
-        return ("%r", (item,)) if math.isfinite(item) else None
-    if kind is list:
-        if (len(item) == 2 and type(re := item[0]) is float and type(im := item[1]) is float
-                and math.isfinite(re) and math.isfinite(im)):
-            return _PAIR, (re, im)
-    elif (kind is dict and item.keys() == _MODE_KEYS
-            and type(index := item["index"]) is int and type(role := item["role"]) is str):
-        return _MODE, (index, _escape(role))
-    return None
-
-
 def _encode(value: Any, newline: str, parts: list[str]) -> None:
     """Append the JSON text of `value` to `parts`, testing types in the stdlib's order.
 
     `newline` is a newline plus the indent of the line `value` starts on.
     A dict key that is not a string raises TypeError from `_escape`.  A list
-    item of exactly `_COEFFICIENT`'s keys and types, and finite, is written
-    from it, and takes no other test; any other item that `_templated`
-    matches is written from its template.  The rest, NaN and infinity
-    included, take the generic path.
+    item that is, tested in this order, a plan coefficient or a mode key of
+    exactly `_COEFFICIENT`'s or `_MODE`'s keys and types, a finite [re, im]
+    float pair or a finite float is written from its template, re-indented
+    once per run of one shape; any other item, NaN and infinity too, recurses.
     """
     if isinstance(value, str):
         parts.append(_escape(value))
@@ -113,23 +98,30 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
         parts.append(_float_repr(value))
     elif isinstance(value, (list, tuple)):
         inner = newline + "  "
-        separator, coefficient, shape = "[" + inner, None, None
+        separator, shape = "[" + inner, None
         for item in value:
-            if (type(item) is dict and item.keys() == _COEFFICIENT_KEYS
+            kind, template = type(item), None
+            if (kind is dict and item.keys() == _COEFFICIENT_KEYS
                     and type(mode := item["mode"]) is dict and mode.keys() == _MODE_KEYS
                     and type(re := item["re"]) is float and type(im := item["im"]) is float
                     and type(index := mode["index"]) is int and type(role := mode["role"]) is str
                     and math.isfinite(re) and math.isfinite(im)):
-                coefficient = coefficient or _COEFFICIENT.replace("\n", inner)
-                parts.append(separator + coefficient % (im, index, _escape(role), re))
-            elif (templated := _templated(item)) is not None:
-                template, args = templated
+                template, args = _COEFFICIENT, (im, index, _escape(role), re)
+            elif (kind is dict and item.keys() == _MODE_KEYS
+                    and type(index := item["index"]) is int and type(role := item["role"]) is str):
+                template, args = _MODE, (index, _escape(role))
+            elif (kind is list and len(item) == 2 and type(re := item[0]) is float
+                    and type(im := item[1]) is float and math.isfinite(re) and math.isfinite(im)):
+                template, args = _PAIR, (re, im)
+            elif kind is float and math.isfinite(item):
+                template, args = "%r", (item,)
+            if template is None:
+                parts.append(separator)
+                _encode(item, inner, parts)
+            else:
                 if template is not shape:  # indented once per run of one shape
                     shape, indented = template, template.replace("\n", inner)
                 parts.append(separator + indented % args)
-            else:
-                parts.append(separator)
-                _encode(item, inner, parts)
             separator = "," + inner
         parts.append(newline + "]" if value else "[]")
     elif isinstance(value, dict):
@@ -156,6 +148,10 @@ def load_json(path: str | Path) -> dict:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except FileFormatError:
+        raise
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an integer too long
+        raise FileFormatError(f"{path}: JSON beyond the reader's limits ({exc})") from exc
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     return payload

@@ -1007,6 +1007,26 @@ class TestSlabOrder:
 class TestBoundaryChecks:
     """Malformed files and flags exit 2 with an error line naming the cause."""
 
+    @pytest.mark.parametrize("command, text", [
+        ("verify", "[" * 100_000 + "]" * 100_000),
+        ("feasibility", '{"format": "hologate-plan-v1", "holograms": [], "geometry": '
+                        + '{"n": ' * 3000 + "4" + "}" * 3000 + "}"),
+        ("simulate", '{"format": "hologate-plan-v1", "geometry": {"n": ' + "9" * 4400 + "}}"),
+    ], ids=["array-nested-100000-deep", "geometry-nested-3000-deep", "integer-of-4400-digits"])
+    def test_json_beyond_the_decoder_limits_exits_2(self, tmp_path, config_dir, capsys,
+                                                    command, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        second = {"verify": ["--target", str(plan)],
+                  "feasibility": ["--material", str(config_dir / "material.json")],
+                  "simulate": ["--out", str(tmp_path / "r.json")]}[command]
+        capsys.readouterr()
+        assert main([command, "--plan", str(plan), *second]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: FileFormatError: {plan}: JSON beyond the reader's limits (")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_top_level_json_array_exits_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text("[]")

@@ -149,6 +149,57 @@ class TestPlan:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _coefficient(index, role, re, im):
+    return {"mode": {"index": index, "role": role}, "re": re, "im": im}
+
+
+COEFFICIENT = _coefficient(2, "signal", 0.5, -0.25)
+MODE_KEY = {"index": 3, "role": "reference"}
+PAIR = [0.1, -2.5e-300]
+#: Items that each miss one shape by one key, type or length.
+NEAR_MISSES = [
+    _coefficient(2, "signal", 1, 0.5),
+    {**COEFFICIENT, "extra": 0},
+    {"mode": MODE_KEY, "re": 0.5},
+    _coefficient(True, "signal", 0.5, 0.5),
+    {"index": 3.0, "role": "signal"},
+    {"index": 3, "role": None},
+    [0.5, 1],
+    [0.5, 1.5, 2.5],
+    (0.5, 1.5),
+    7,
+    True,
+    None,
+    "signal",
+    np.float64(0.75),
+]
+MIXED_LISTS = {
+    "switching": [COEFFICIENT, PAIR, COEFFICIENT, MODE_KEY, 1e16, COEFFICIENT, MODE_KEY, PAIR,
+                  -0.0, 5e-324, COEFFICIENT, COEFFICIENT],
+    "near-misses-between": [
+        item for miss in NEAR_MISSES
+        for item in (COEFFICIENT, miss, MODE_KEY, miss, PAIR, miss, 0.125, miss)
+    ],
+    "runs": [PAIR, PAIR, MODE_KEY, MODE_KEY, _coefficient(9, "refer\u00e9nce\n", -1e-7, 1e300),
+             COEFFICIENT, 2.5, 3.5, PAIR, COEFFICIENT],
+}
+
+
+@pytest.mark.parametrize("placement", ["depth 1", "depth 2", "in a tuple"])
+@pytest.mark.parametrize("name", sorted(MIXED_LISTS))
+def test_mixed_list_shapes_match_the_stdlib(tmp_path, name, placement):
+    """One template cache serves coefficients, mode keys, pairs and floats in any order."""
+    items = MIXED_LISTS[name]
+    payload = {
+        "depth 1": {"items": items},
+        "depth 2": {"outer": [{"items": items, "tail": [items, 1.5]}]},
+        "in a tuple": {"pair": (items, (COEFFICIENT, items))},
+    }[placement]
+    path = tmp_path / "mixed.json"
+    dump_json(payload, path)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 class TestSweepCsv:
     def test_format(self, tmp_path):
         path = tmp_path / "sweep.csv"
