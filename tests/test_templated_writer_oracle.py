@@ -2,9 +2,10 @@
 
 Besides plan coefficients, `_encode` writes three list item shapes from
 `%`-templates: finite [re, im] float pairs, {"index": int, "role": str}
-mode keys and bare finite floats.  The list's first item that is not a
-coefficient picks the shape; every other item takes the generic path.
-Each file must still hold
+mode keys and bare finite floats.  Every list item of one of these shapes
+is written from its template, re-indented once per run of one shape, so
+a list may mix shapes; any other item takes the generic path.  Each file
+must still hold
 ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
 and a NaN or infinity must raise the stdlib's error and leave no file.
 """
