@@ -7,6 +7,13 @@ files or flags, 3 verification below threshold.
 `cmd_<command>` as found at call time.  A process that calls `main` many
 times (tests, notebooks, scripts, the benchmark) saves about 1 ms a call;
 a console-script run, which parses once, saves nothing.
+
+Likewise `modes.make_cone_basis` keeps one mode set per geometry for the
+process (the last `modes.MODE_SETS_KEPT`, 8), with the pair table that
+pass 2 of every coupling build searches.  A process that runs several
+commands on one geometry builds them once; a console-script run builds
+them once per run, as before.  No plan, coupling or transfer is kept
+across calls.
 """
 
 from __future__ import annotations

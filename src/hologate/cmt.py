@@ -181,19 +181,23 @@ def _strengths(hologram: Hologram, modes: ModeSet, material: MaterialSpec | None
     return table.derived("strengths", modes, lambda: _exposure_strengths(table, wavelength))
 
 
-def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budget: int):
+def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budget: int,
+                order: np.ndarray | None = None):
     """Yield (grating, pair) index arrays of every offset shorter than bound.
 
     An offset is transverse[pair] - gratings[grating], and the test is
     ~(hypot >= bound), negated like the scalar confirm.  Only pairs whose x
     lies in [gx - bound, gx + bound] can pass, so the pairs are sorted by x
-    once and each grating's window is found by `searchsorted`.  Hits come
-    in (grating, pair) order, in blocks of gratings whose windows hold at
-    most `budget` pairs together (or one grating's window if larger).
+    and each grating's window is found by `searchsorted`.  Given `order`,
+    `transverse` is already sorted and row i is pair order[i]'s offset, as
+    in `ModeSet.pair_table`.  Hits come in (grating, pair) order, in blocks
+    of gratings whose windows hold at most `budget` pairs together (or one
+    grating's window if larger).
     """
-    order = transverse[:, 0].argsort()
-    sorted_t = transverse[order]
-    sorted_x, gx = sorted_t[:, 0], gratings[:, 0]
+    if order is None:
+        order = transverse[:, 0].argsort()
+        transverse = transverse[order]
+    sorted_x, gx = transverse[:, 0], gratings[:, 0]
     starts = sorted_x.searchsorted(gx - bound, side="left")
     counts = sorted_x.searchsorted(gx + bound, side="right") - starts
     ends = counts.cumsum()
@@ -205,7 +209,7 @@ def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budg
         last = max(first + 1, int(ends.searchsorted(filled + budget, side="right")))
         grating = np.arange(first, last).repeat(counts[first:last])
         index = np.arange(filled, ends[last - 1]) + shift[grating]
-        offsets = sorted_t[index] - gratings[grating]
+        offsets = transverse[index] - gratings[grating]
         near = ~(np.hypot(offsets[:, 0], offsets[:, 1]) >= bound)
         grating, pair = grating[near], order[index[near]]
         keep = np.lexsort((pair, grating))
@@ -246,7 +250,7 @@ def build_coupling(
 
 def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingSystem:
     wavelength = modes.geometry.wavelength
-    transverse_tol = TWO_PI / modes.geometry.aperture_breadth
+    transverse_tol = modes.transverse_tolerance
     universe = modes.universe
     vectors = modes.wave_vectors
     n = len(universe)
@@ -274,15 +278,16 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     xi = np.zeros((n, n))
     xi[p[first], m[first]] = -0.0
 
-    # Pass 2: parasitic replays of each fringe by other, nearly matched pairs.
+    # Pass 2: parasitic replays of each fringe by other, nearly matched pairs,
+    # searched for in the mode set's pair table.
     gratings = vectors[m] - vectors[p]
-    transverse = (vectors[:, None, :2] - vectors[None, :, :2]).reshape(n * n, 2)
     # A tiny aperture widens every window to all n**2 pairs; blocks of half
     # of one exposure's C * n**2 offsets then keep the search's memory small.
     budget = n * n // 2 * max(b - a for a, b in zip(table.bounds, table.bounds[1:]))
     candidate_bound = transverse_tol * (1.0 + 1e-9)
-    search = _near_pairs(transverse, gratings[:, :2], candidate_bound, budget)
-    vecs, grats, own = vectors.tolist(), gratings.tolist(), (m * n + p).tolist()
+    pairs, order = modes.pair_table
+    search = _near_pairs(pairs, gratings[:, :2], candidate_bound, budget, order)
+    vecs, grats, own = modes.vector_rows, gratings.tolist(), (m * n + p).tolist()
     rows, weight, delta_n = table.row.tolist(), table.weight.tolist(), table.delta_n.tolist()
     # At most one detuning per unordered pair: later replays merge into the
     # first.  The triage reads plain Python values and writes numpy only for
@@ -496,7 +501,9 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
         nodes = np.stack([z, z + half, z + h], axis=1)
         # kappa stays the left operand: numpy's complex multiply may fuse a
         # multiply-add, so phase * kappa can differ from it in the last bit.
-        values = coupling * np.exp(rate * nodes[..., None, None])
+        values = np.multiply(rate, nodes[..., None, None])
+        np.exp(values, out=values)
+        np.multiply(coupling, values, out=values)
         for step_values in values.reshape(z.size, -1):
             entries[targets] = step_values
             product(start, propagator, out=x1)
