@@ -71,7 +71,9 @@ _POTENTIAL_TOL = 1e-9
 _UNITARITY_TOL = 1e-9
 _UNITARITY_TOL_PER_STEP = (TWO_PI / _STEPS_PER_CYCLE) ** 6 / 72.0
 #: Bytes of phase values `_integrate` holds at once: 16 per complex value,
-#: three per step and coupled entry.
+#: three per step and coupled entry, in one array formed in place.  The
+#: broadcasts that form it take numpy buffers of up to that size for the
+#: length of one call.
 _PHASE_BUDGET_BYTES = 128 * 1024
 #: Bytes of the n x n complex transfers of a batch of tilts `selectivity_sweep` runs at once.
 _BATCH_BYTES = 4 * 1024 * 1024
@@ -496,13 +498,16 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
         np.multiply(factor, x, out=buffer)
         return np.add(propagator, buffer, out=buffer)
 
+    # One chunk's phase values, formed in place chunk after chunk.
+    phases = np.empty((min(chunk, steps), 3, *coupling.shape), dtype=complex)
     for first in range(0, steps, chunk):
         z = np.arange(first, min(first + chunk, steps)) * h
         nodes = np.stack([z, z + half, z + h], axis=1)
+        values = phases[:z.size]
+        np.multiply(rate, nodes[..., None, None], out=values)
+        np.exp(values, out=values)
         # kappa stays the left operand: numpy's complex multiply may fuse a
         # multiply-add, so phase * kappa can differ from it in the last bit.
-        values = np.multiply(rate, nodes[..., None, None])
-        np.exp(values, out=values)
         np.multiply(coupling, values, out=values)
         for step_values in values.reshape(z.size, -1):
             entries[targets] = step_values
