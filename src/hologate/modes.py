@@ -32,8 +32,8 @@ TWO_PI = 2.0 * math.pi
 MAX_DIMENSION = 256
 
 #: Mode sets `make_cone_basis` keeps per process, the least recently used
-#: dropped first.  A kept set holds its pair table once a coupling is built
-#: on it: about 25 kB at N = 16, 400 kB at N = 64 and 6.3 MB at N = 256.
+#: dropped first.  Once a coupling is built on it, a kept set with its pair
+#: table holds about 43 kB at N = 16, 0.44 MB at N = 64 and 6.5 MB at N = 256.
 MODE_SETS_KEPT = 8
 
 
