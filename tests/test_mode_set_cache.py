@@ -7,7 +7,6 @@ and 1.0) must keep their own sets, every cached array must be read-only,
 and the pair table must give pass 2 the hits of its own sort.
 """
 
-import json
 from dataclasses import replace
 
 import numpy as np
