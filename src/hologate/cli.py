@@ -7,13 +7,6 @@ files or flags, 3 verification below threshold.
 `cmd_<command>` as found at call time.  A process that calls `main` many
 times (tests, notebooks, scripts, the benchmark) saves about 1 ms a call;
 a console-script run, which parses once, saves nothing.
-
-Likewise `modes.make_cone_basis` keeps one mode set per geometry for the
-process (the last `modes.MODE_SETS_KEPT`, 8), with the pair table that
-pass 2 of every coupling build searches.  A process that runs several
-commands on one geometry builds them once; a console-script run builds
-them once per run, as before.  No plan, coupling or transfer is kept
-across calls.
 """
 
 from __future__ import annotations
@@ -239,19 +232,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_feasibility(args: argparse.Namespace) -> int:
     stack = _load_plan(args.plan)
     report = compiler.feasibility_report(stack, _load_material(args.material))
-    payload = {
-        "recordings": report.recordings,
-        "dimension": report.dimension,
-        "required_thickness_m": report.required_thickness,
-        "per_dimension_thickness_m": report.per_dimension_thickness,
-        "q_ratio": report.q_ratio,
-        "volume_regime": report.volume_regime,
-        "angular_selectivity_rad": report.angular_selectivity,
-        "selectivity_ok": report.selectivity_ok,
-        "dimension_ok": report.dimension_ok,
-        "modulation_ok": report.modulation_ok,
-        "max_dimension": report.max_dimension,
-    }
+    units = {"required_thickness": "_m", "per_dimension_thickness": "_m",
+             "angular_selectivity": "_rad"}
+    payload = {key + units.get(key, ""): value for key, value in vars(report).items()}
     if args.out:
         # An empty plan has infinite selectivity, which JSON spells null.
         selectivity = report.angular_selectivity

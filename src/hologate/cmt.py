@@ -239,8 +239,8 @@ def build_coupling(
     by the scalar test and added in exposure, component, row-major (a, b)
     order, the order of an exhaustive scan over all pairs, so every merge,
     dropped degenerate fringe and float sum, and so the result, is
-    bit-for-bit that scan's.  The triage skips a fringe's own pair by its
-    flat index and reads plain Python values; only kept replays write arrays.
+    bit-for-bit that scan's.  One mask per search block drops each fringe's
+    own pair; the triage reads plain Python values; only kept replays write arrays.
 
     The system is computed once per hologram and mode set and kept, read-only,
     with the fringe table; the `_strengths` checks run on every call.
@@ -252,7 +252,7 @@ def build_coupling(
 
 def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingSystem:
     wavelength = modes.geometry.wavelength
-    transverse_tol = modes.transverse_tolerance
+    transverse_tol = TWO_PI / modes.geometry.aperture_breadth
     universe = modes.universe
     vectors = modes.wave_vectors
     n = len(universe)
@@ -289,7 +289,7 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     candidate_bound = transverse_tol * (1.0 + 1e-9)
     pairs, order = modes.pair_table
     search = _near_pairs(pairs, gratings[:, :2], candidate_bound, budget, order)
-    vecs, grats, own = modes.vector_rows, gratings.tolist(), (m * n + p).tolist()
+    vecs, grats, own = vectors.tolist(), gratings.tolist(), m * n + p
     rows, weight, delta_n = table.row.tolist(), table.weight.tolist(), table.delta_n.tolist()
     # At most one detuning per unordered pair: later replays merge into the
     # first.  The triage reads plain Python values and writes numpy only for
@@ -297,12 +297,10 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     # a parasitic pair's pairedness and detuning live only in `detunings`.
     is_recorded, detunings, merged = recorded.tolist(), {}, 0
     for near_grating, near_pair in search:
-        for g, ab in zip(near_grating.tolist(), near_pair.tolist()):
-            if ab == own[g]:
-                continue
+        # Drop each fringe's own pair and the a == b pairs (ab = a * (n + 1)).
+        other = (near_pair != own[near_grating]) & (near_pair % (n + 1) != 0)
+        for g, ab in zip(near_grating[other].tolist(), near_pair[other].tolist()):
             a, b = divmod(ab, n)
-            if a == b:
-                continue
             (ax, ay, az), (bx, by, bz), (gx, gy, gz) = vecs[a], vecs[b], grats[g]
             if math.hypot(ax - bx - gx, ay - by - gy) >= transverse_tol:
                 continue

@@ -267,31 +267,6 @@ def matrix_from_dict(payload: dict) -> np.ndarray:
 
 # -- circuits ----------------------------------------------------------------
 
-def circuit_to_dict(circuit: QuantumCircuit) -> dict:
-    elements = []
-    for element in circuit.elements:
-        if isinstance(element, Gate):
-            elements.append(_gate_to_dict(element))
-        elif isinstance(element, Measurement):
-            elements.append({"kind": "measure", "wire": element.wire})
-        else:
-            elements.append(
-                {
-                    "kind": "cgate",
-                    "source_wire": element.source_wire,
-                    "gate": _gate_to_dict(element.gate),
-                }
-            )
-    return {"width": circuit.width, "elements": elements}
-
-
-def _gate_to_dict(gate: Gate) -> dict:
-    entry: dict[str, Any] = {"kind": "gate", "name": gate.kind.value, "wires": list(gate.wires)}
-    if gate.payload is not None:
-        entry["matrix"] = matrix_to_dict(gate.payload)
-    return entry
-
-
 def _gate_from_dict(payload: dict, context: str) -> Gate:
     # "kind" is optional inside a cgate, which holds only a gate.
     if _field(payload, "kind", context, str, "gate") != "gate":

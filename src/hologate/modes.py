@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ MAX_DIMENSION = 256
 
 #: Mode sets `make_cone_basis` keeps per process, the least recently used
 #: dropped first.  Once a coupling is built on it, a kept set with its pair
-#: table holds about 43 kB at N = 16, 0.44 MB at N = 64 and 6.5 MB at N = 256.
+#: table holds about 39 kB at N = 16, 0.42 MB at N = 64 and 6.4 MB at N = 256.
 MODE_SETS_KEPT = 8
 
 
@@ -94,6 +95,10 @@ class ConeGeometry:
     reference_azimuth_offset: float = math.pi
 
     def __post_init__(self):
+        try:
+            operator.index(self.dimension)
+        except TypeError:
+            raise InvalidGeometry(f"dimension must be an integer, got {self.dimension!r}") from None
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise InvalidGeometry(
                 f"dimension must lie in [1, {MAX_DIMENSION}], got {self.dimension}"
@@ -178,16 +183,6 @@ class ModeSet:
         vectors = np.array([wave_vector(mode) for mode in self.universe])
         vectors.flags.writeable = False
         return vectors
-
-    @functools.cached_property
-    def vector_rows(self) -> tuple[tuple[float, float, float], ...]:
-        """`wave_vectors` as rows of Python floats, for scalar reads; built once."""
-        return tuple(map(tuple, self.wave_vectors.tolist()))
-
-    @functools.cached_property
-    def transverse_tolerance(self) -> float:
-        """2*pi/D, the smallest transverse wave-vector difference the aperture resolves."""
-        return TWO_PI / self.geometry.aperture_breadth
 
     @functools.cached_property
     def pair_table(self) -> tuple[np.ndarray, np.ndarray]:

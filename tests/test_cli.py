@@ -239,13 +239,14 @@ class TestOtherCommands:
         assert err.startswith("error: ValueError:") and f"at most {cmt.MAX_SAMPLES} samples" in err
         assert not out.exists()
 
-    def test_feasibility_report(self, tmp_path, config_dir):
+    def test_feasibility_report(self, tmp_path, config_dir, capsys):
         target = tmp_path / "u.json"
         write_matrix(target, haar_unitary(8, np.random.default_rng(3)))
         plan = tmp_path / "plan.json"
         main(["compile", "--unitary", str(target),
               "--geometry", str(config_dir / "geometry.json"), "--out", str(plan)])
         out = tmp_path / "feas.json"
+        capsys.readouterr()
         assert main([
             "feasibility", "--plan", str(plan),
             "--material", str(config_dir / "material.json"), "--out", str(out),
@@ -254,6 +255,12 @@ class TestOtherCommands:
         assert payload["recordings"] == 16
         assert payload["required_thickness_m"] == pytest.approx(16e-3)
         assert payload["dimension_ok"] is True
+        # The file and stdout carry the same 11 keys, printed sorted.
+        keys = ["angular_selectivity_rad", "dimension", "dimension_ok", "max_dimension",
+                "modulation_ok", "per_dimension_thickness_m", "q_ratio", "recordings",
+                "required_thickness_m", "selectivity_ok", "volume_regime"]
+        assert list(payload) == keys
+        assert capsys.readouterr().out.splitlines() == [f"{k}: {payload[k]}" for k in keys]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main([

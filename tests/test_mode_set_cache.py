@@ -26,7 +26,7 @@ def test_equal_geometries_share_one_mode_set():
     assert make_cone_basis(geometry(8)) is modes
     assert make_cone_basis(geometry(12)) is not modes
     wider = make_cone_basis(replace(geometry(8), aperture_breadth=6e-3))
-    assert wider is not modes and wider.transverse_tolerance != modes.transverse_tolerance
+    assert wider is not modes and wider.geometry.aperture_breadth == 6e-3
 
 
 @pytest.mark.parametrize("field, first, second", [
@@ -80,8 +80,6 @@ def test_cached_arrays_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    assert isinstance(modes.vector_rows, tuple)
-    assert all(isinstance(row, tuple) for row in modes.vector_rows)
     assert isinstance(modes.universe, tuple)
 
 
@@ -92,10 +90,9 @@ def test_pair_table_is_the_sort_near_pairs_makes():
     transverse = (vectors[:, None, :2] - vectors[None, :, :2]).reshape(n * n, 2)
     table, order = modes.pair_table
     assert table.tobytes() == transverse[order].tobytes()
-    assert modes.vector_rows == tuple(map(tuple, vectors.tolist()))
     rng = np.random.default_rng(6)
     gratings = transverse[rng.integers(0, n * n, 40)] + rng.normal(scale=30.0, size=(40, 2))
-    bound = modes.transverse_tolerance * (1.0 + 1e-9)
+    bound = 2 * np.pi / modes.geometry.aperture_breadth * (1.0 + 1e-9)
     for budget in (1, 50, n * n):
         own = list(_near_pairs(transverse, gratings, bound, budget))
         kept = list(_near_pairs(table, gratings, bound, budget, order))

@@ -90,6 +90,13 @@ class TestConeBasis:
             with pytest.raises(InvalidGeometry, match=r"dimension must lie in \[1, 256\]"):
                 geometry(n)
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4", None])
+    def test_dimension_must_be_an_integer(self, n):
+        # A float or string once passed here and failed later in `range`.
+        with pytest.raises(InvalidGeometry, match=f"dimension must be an integer, got {n!r}"):
+            geometry(n)
+        assert make_cone_basis(geometry(np.int64(4))).dimension == 4
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
     def test_universe_order(self, n, modes2, modes4):
         modes, twin = ModeSet(geometry(n)), ModeSet(geometry(n))
