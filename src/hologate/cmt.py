@@ -461,28 +461,57 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
     only a signed zero to a propagator whose zeros stay +0, so each slice
     of the result is bit-identical to that loop run on it alone.
 
-    A step is 15 numpy calls: a scatter, 4 products and 10 elementwise
+    Built couplings come in conjugate pairs, so most phases need no exp of
+    their own.  Entry (b, a) of a coupled (a, b), a < b, is a mirror when
+    kappa_ba == conj(kappa_ab) and xi_ba == -xi_ab hold by value in every
+    slice.  Its argument i xi_ba z is then -(i xi_ab z) but for the signs of
+    zeros, the exp of which is the conjugate bit for bit (sin is odd, and a
+    zero real part exponentiates to exactly 1), and conj(kappa) * conj(p)
+    rounds to conj(kappa * p), so a mirror's value is one conjugate of its
+    partner's.  A partner whose detuning is 0 in every slice takes no exp
+    either: exp(+-0 +- 0j) is exactly 1 +- 0j, and its argument already
+    holds that imaginary zero, so only the real part is set.  Every other
+    coupled entry, a pair conjugate only to within `CouplingSystem`'s
+    tolerances included, takes its own exp.  Where a mirror's value differs
+    from the dense loop's, it differs in the sign of a zero (a real kappa
+    stored as x - 0j, or a zero argument), and such a sign reaches only
+    zeros, which adding to the propagator erases.
+
+    A step is 17 numpy calls: a scatter, 4 products and 12 elementwise
     calls, written with out= into buffers made once per call.  The stage
     i (M @ Y) is kept as M @ Y and i joins the real step, as (i half) * x
     and (i sixth) * (x1 + 2 x2 + 2 x3 + x4): times i only swaps and
     negates parts, and rounding is symmetric in sign.  2 x is x + x, as
-    exact as 2.0 * x.  np.add.reduce over the stage axis adds slice by
-    slice, ((x1 + 2 x2) + 2 x3) + x4 as the loop does.  np.dot (a slab)
-    and matmul (a stack) call the same zgemm, and the 0-d complex128
-    factors hold the Python scalars' values.  Folding i and x + x change
-    at most the sign of a zero, which adding to the propagator erases.
+    exact as 2.0 * x, and three in-place adds sum ((x1 + 2 x2) + 2 x3) + x4
+    as the loop does.  np.dot (a slab) and matmul (a stack) call the same
+    zgemm, and the 0-d complex128 factors hold the Python scalars' values.
+    Folding i and x + x change at most the sign of a zero, which adding
+    to the propagator erases.
     """
     h = thickness / steps
     n = kappa.shape[-1]
     kappas, xis = np.reshape(kappa, (-1, n * n)), np.reshape(xi, (-1, n * n))
-    coupled = np.flatnonzero(kappas[0])
-    coupling, rate = kappas[:, coupled], 1j * xis[:, coupled]
-    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(coupling.size, 1)))
+    # Coupled entries in three runs: those that take an exp, partners whose
+    # detuning is 0 in every slice, then the mirrors of the partners in order.
+    coupled = kappas[0] != 0.0
+    transposed = np.arange(n * n).reshape(n, n).T.ravel()
+    mirror = (np.tri(n, k=-1, dtype=bool).ravel() & coupled
+              & (kappas == kappas[:, transposed].conj()).all(axis=0)
+              & (xis == -xis[:, transposed]).all(axis=0))
+    mirrors = np.flatnonzero(mirror)
+    still = (xis[:, mirrors] == 0.0).all(axis=0)
+    mirrors = np.concatenate([mirrors[~still], mirrors[still]])
+    alone = np.flatnonzero(coupled & ~mirror & ~mirror[transposed])
+    order = np.concatenate([alone, transposed[mirrors], mirrors])
+    own = order.size - mirrors.size
+    exps = own - np.count_nonzero(still)
+    coupling, rate = kappas[:, order[:own]], 1j * xis[:, order[:own]]
+    chunk = max(1, _PHASE_BUDGET_BYTES // (3 * 16 * max(len(kappas) * order.size, 1)))
     # The coupling matrices at a step's start, midpoint and end.
     matrices = np.zeros((3, *kappa.shape), dtype=complex)
     start, middle, end = matrices
     entries = matrices.reshape(-1)
-    targets = (np.arange(3 * len(coupling))[:, None] * (n * n) + coupled).ravel()
+    targets = (np.arange(3 * len(kappas))[:, None] * (n * n) + order).ravel()
     half = 0.5 * h
     ihalf, ih, isixth = (np.array(1j * factor) for factor in (half, h, h / 6.0))
     propagator = np.broadcast_to(np.eye(n, dtype=complex), kappa.shape).copy()
@@ -491,32 +520,39 @@ def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) 
     x1, x2, x3, x4 = stages
     doubled, buffer = stages[1:3], np.empty_like(propagator)
     product = np.dot if kappa.ndim == 2 else np.matmul
-
-    def stage(factor, x):
-        np.multiply(factor, x, out=buffer)
-        return np.add(propagator, buffer, out=buffer)
-
+    multiply, add = np.multiply, np.add
     # One chunk's phase values, formed in place chunk after chunk.
-    phases = np.empty((min(chunk, steps), 3, *coupling.shape), dtype=complex)
+    phases = np.empty((min(chunk, steps), 3, len(kappas), order.size), dtype=complex)
     for first in range(0, steps, chunk):
         z = np.arange(first, min(first + chunk, steps)) * h
         nodes = np.stack([z, z + half, z + h], axis=1)
         values = phases[:z.size]
-        np.multiply(rate, nodes[..., None, None], out=values)
-        np.exp(values, out=values)
+        direct = values[..., :own]
+        multiply(rate, nodes[..., None, None], direct)
+        np.exp(values[..., :exps], out=values[..., :exps])
+        values[..., exps:own].real = 1.0
         # kappa stays the left operand: numpy's complex multiply may fuse a
         # multiply-add, so phase * kappa can differ from it in the last bit.
-        np.multiply(coupling, values, out=values)
+        multiply(coupling, direct, direct)
+        np.conjugate(values[..., alone.size:own], out=values[..., own:])
         for step_values in values.reshape(z.size, -1):
             entries[targets] = step_values
-            product(start, propagator, out=x1)
-            product(middle, stage(ihalf, x1), out=x2)
-            product(middle, stage(ihalf, x2), out=x3)
-            product(end, stage(ih, x3), out=x4)
-            np.add(doubled, doubled, out=doubled)
-            np.add.reduce(stages, axis=0, out=buffer)
-            np.multiply(isixth, buffer, out=buffer)
-            np.add(propagator, buffer, out=propagator)
+            product(start, propagator, x1)
+            multiply(ihalf, x1, buffer)
+            add(propagator, buffer, buffer)
+            product(middle, buffer, x2)
+            multiply(ihalf, x2, buffer)
+            add(propagator, buffer, buffer)
+            product(middle, buffer, x3)
+            multiply(ih, x3, buffer)
+            add(propagator, buffer, buffer)
+            product(end, buffer, x4)
+            add(doubled, doubled, doubled)
+            add(x1, x2, x1)
+            add(x1, x3, x1)
+            add(x1, x4, x1)
+            multiply(isixth, x1, x1)
+            add(propagator, x1, propagator)
     return propagator
 
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, NotSignedPermutation, NotUnitary
-from .modes import ModeSet, PlaneWaveMode, TWO_PI
+from .modes import ModeSet, PlaneWaveMode, TWO_PI, _require_reals
 
 #: Index-modulation amplitude used when a plan does not specify one.
 #: An illustrative value for PTR-like glass; adjust per material batch.
@@ -255,7 +255,9 @@ class MaterialSpec:
     name: str = ""
 
     def __post_init__(self):
-        for field_name in ("max_total_thickness", "max_index_modulation", "meters_per_recording"):
+        names = ("max_total_thickness", "max_index_modulation", "meters_per_recording")
+        _require_reals(self, ValueError, *names)
+        for field_name in names:
             value = getattr(self, field_name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{field_name} must be positive and finite, got {value}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -36,6 +37,14 @@ MAX_DIMENSION = 256
 #: dropped first.  Once a coupling is built on it, a kept set with its pair
 #: table holds about 39 kB at N = 16, 0.42 MB at N = 64 and 6.4 MB at N = 256.
 MODE_SETS_KEPT = 8
+
+
+def _require_reals(owner, error: type[Exception], *names: str) -> None:
+    """Raise `error` naming the first field in `names` that holds no real number, or a bool."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
 
 
 class Role(enum.Enum):
@@ -96,9 +105,12 @@ class ConeGeometry:
 
     def __post_init__(self):
         try:
-            operator.index(self.dimension)
+            object.__setattr__(self, "dimension", operator.index(self.dimension))
         except TypeError:
             raise InvalidGeometry(f"dimension must be an integer, got {self.dimension!r}") from None
+        _require_reals(self, InvalidGeometry, "signal_half_angle", "reference_half_angle",
+                       "wavelength", "aperture_breadth", "signal_azimuth_offset",
+                       "reference_azimuth_offset")
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise InvalidGeometry(
                 f"dimension must lie in [1, {MAX_DIMENSION}], got {self.dimension}"

@@ -18,13 +18,16 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hologate import circuit as qc
 from hologate import cmt, compiler, formats, samples
 from hologate.cli import main
+from hologate.errors import InvalidGeometry
 from hologate.modes import make_cone_basis
 
 from conftest import strict_json
@@ -270,3 +273,30 @@ def test_structural_mutation_exits_2(case):
 def test_dropped_key_or_empty_list(case):
     with tempfile.TemporaryDirectory() as tmp:
         check_structural(case, Path(tmp))
+
+
+#: Every numeric field of the geometry and material classes, which the API
+#: accepts from any caller: a str or None in one of them raises the class's
+#: own error, naming the field, and never a bare TypeError.  So does a bool
+#: in a float field, which the writer would spell as a JSON true or false.
+GEOMETRY_FIELDS = ("dimension", "signal_half_angle", "reference_half_angle", "wavelength",
+                   "aperture_breadth", "signal_azimuth_offset", "reference_azimuth_offset")
+MATERIAL_FIELDS = ("max_total_thickness", "max_index_modulation", "meters_per_recording")
+
+
+@pytest.mark.parametrize("name, value", [
+    # A bool dimension is the integer 1, which the geometry accepts.
+    (name, value) for name in GEOMETRY_FIELDS for value in ("0.1", None, True)
+    if (name, value) != ("dimension", True)
+])
+def test_geometry_field_of_wrong_type(name, value):
+    with pytest.raises(InvalidGeometry, match=f"^{name} must be"):
+        replace(samples.sample_geometry(4), **{name: value})
+
+
+@pytest.mark.parametrize("value", ["0.025", None, True])
+@pytest.mark.parametrize("name", MATERIAL_FIELDS)
+def test_material_field_of_wrong_type(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be") as raised:
+        replace(samples.sample_material(), **{name: value})
+    assert not isinstance(raised.value, TypeError)

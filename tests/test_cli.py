@@ -572,6 +572,27 @@ def test_module_entry_point(tmp_path):
     assert "PASS" in proc.stdout
 
 
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma's first import adds about 2 MB to a process's peak memory;
+    # np.unique and np.setdiff1d import it on their first call.
+    script = """if True:
+        import sys
+        from hologate.cli import main
+        out = sys.argv[1]
+        plan, crosstalk = out + "/teleport/plan.json", ["--crosstalk", "--out"]
+        codes = [main(["cnot-demo", "--out-dir", out + "/cnot"]),
+                 main(["teleport-demo", "--out-dir", out + "/teleport"]),
+                 main(["simulate", "--plan", plan, *crosstalk, out + "/xt.json"]),
+                 main(["sweep", "--plan", plan, "--tilt-range", "2e-3", "--samples", "3",
+                       *crosstalk, out + "/xt.csv"])]
+        assert codes == [0, 0, 0, 0], codes
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_input_files_are_read_as_utf8_in_the_c_locale(tmp_path):
     material = {"name": "PTR-Glas für 1550 nm", "max_total_thickness_m": 2.5e-2,
                 "max_index_modulation": 1e-3, "meters_per_recording": 1e-3}

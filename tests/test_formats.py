@@ -33,6 +33,7 @@ from hologate.formats import (
     plan_to_dict,
     write_sweep_csv,
 )
+from hologate.modes import make_cone_basis
 
 from conftest import geometry, haar_unitary
 
@@ -158,6 +159,16 @@ class TestPlan:
         dump_json(plan_to_dict(stack), a)
         dump_json(plan_to_dict(stack), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_numpy_integer_dimension_writes_the_same_plan(self, tmp_path):
+        paths = {}
+        for dimension in (4, np.int64(4)):
+            modes = make_cone_basis(geometry(dimension))
+            assert type(modes.geometry.dimension) is int
+            stack, _ = self.build_stack(modes)
+            paths[dimension] = tmp_path / f"{type(dimension).__name__}.json"
+            dump_json(plan_to_dict(stack), paths[dimension])
+        assert paths[4].read_bytes() == paths[np.int64(4)].read_bytes()
 
 
 def _coefficient(index, role, re, im):
