@@ -48,13 +48,14 @@ every stack and sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .compiler import GratingStack, Hologram, MaterialSpec, unitarity_defect
 from .errors import NonuniformCoupling, StepUnderflow, UnknownMode
-from .modes import ModeSet, PlaneWaveMode, TWO_PI, wave_vector
+from .modes import ModeSet, PlaneWaveMode, TWO_PI, _require_real, wave_vector
 
 #: Minimum RK4 step count per slab.
 _MIN_STEPS = 1000
@@ -619,8 +620,8 @@ def detuned_transfer(
     would carry no accurate digits) raises StepUnderflow, and a transfer
     whose ||T^H T - I||_F exceeds its route's bound raises FloatingPointError.
     """
-    if not 0.0 < thickness < math.inf:
-        raise ValueError(f"thickness must be positive and finite, got {thickness}")
+    _require_real(thickness, ValueError, "thickness")
+    _require_real(tilt, ValueError, "tilt", -math.inf, rule="be finite")
     shift = _tilt_shift(system.modes, tilt, tilt_mode)
     slabs, error = _slab_transfers(system, thickness, include_crosstalk, [shift])
     if error is not None:
@@ -666,8 +667,10 @@ def simulate_stack(
     *,
     include_crosstalk: bool = False,
 ) -> TransferResult:
-    """Ordered product of per-hologram `detuned_transfer`s.
+    """Transfer of the stack, its slabs built and run in light order.
 
+    `_stack_transfers` propagates each slab by `_slab_transfers`, the route
+    `detuned_transfer` takes, and multiplies the transfers in that order.
     Every hologram must carry a thickness (see `tune_stack`).  Inter-slab
     propagation phases are normalized away as described in the module
     docstring.  `include_crosstalk` is passed to every slab, each built and
@@ -716,12 +719,13 @@ def selectivity_sweep(
     most power from it.  Rows are (tilt, efficiency), tilt ascending and
     equally spaced over [0, tilt_range].
     """
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise ValueError("a sweep needs at least 2 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"a sweep takes at most {MAX_SAMPLES} samples, got {samples}")
-    if not math.isfinite(tilt_range):
-        raise ValueError(f"tilt range must be finite, got {tilt_range}")
+    _require_real(tilt_range, ValueError, "tilt range", -math.inf, rule="be finite")
     if tilt_range <= 0.0:
         raise ValueError("tilt range must be positive")
 

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotSignedPermutation, NotUnitary
-from .modes import ModeSet, PlaneWaveMode, TWO_PI, _require_reals
+from .modes import ModeSet, PlaneWaveMode, TWO_PI, _require_real
 
 #: Index-modulation amplitude used when a plan does not specify one.
 #: An illustrative value for PTR-like glass; adjust per material batch.
@@ -65,6 +66,9 @@ class Exposure:
 
     def __post_init__(self):
         c = self.coefficients
+        for value in c.values():
+            if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+                raise ValueError(f"coefficients must be complex numbers, got {value!r}")
         _check_exposure(c.values(), self.index_modulation, self.phase, self.partner, c)
         object.__setattr__(self, "coefficients", MappingProxyType(dict(c)))
 
@@ -79,19 +83,13 @@ def _check_exposure(values, index_modulation, phase, partner, components, total=
     """
     if not values:
         raise ValueError("exposure needs at least one superposition component")
-    _check_index_modulation(index_modulation)
-    if not math.isfinite(phase):
-        raise ValueError(f"exposure phase must be finite, got {phase}")
+    _require_real(index_modulation, ValueError, "index modulation")
+    _require_real(phase, ValueError, "exposure phase", -math.inf, rule="be finite")
     if partner in components:
         raise ValueError("partner wave cannot appear in its own superposition")
     total = _norm_squared(values) if total is None else total
     if not abs(total - 1.0) <= _COEFF_NORM_TOL:
         raise ValueError(f"superposition norm {total} is not 1")
-
-
-def _check_index_modulation(index_modulation) -> None:
-    if not 0.0 < index_modulation < math.inf:
-        raise ValueError(f"index modulation must be positive and finite, got {index_modulation}")
 
 
 def _norm_squared(values) -> float:
@@ -193,8 +191,9 @@ class Hologram:
 
     def __init__(self, exposures, thickness: float | None = None, label: str = ""):
         table = exposures if isinstance(exposures, _FringeTable) else _fringe_table(exposures)
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
         object.__setattr__(self, "_fringes", table)
-        object.__setattr__(self, "thickness", thickness)
         object.__setattr__(self, "label", label)
         if not len(table.delta_n):
             raise ValueError(f"hologram {label!r} has an empty exposure list")
@@ -206,7 +205,7 @@ class Hologram:
             np.fill_diagonal(gram, 0.0)
             if (gram > _ORTHOGONALITY_TOL).any():
                 raise ValueError("exposure superpositions within one hologram must be orthogonal")
-        _check_thickness(thickness)
+        object.__setattr__(self, "thickness", _thickness(thickness))
 
     @property
     def exposures(self) -> tuple[Exposure, ...]:
@@ -221,15 +220,15 @@ class Hologram:
 
     def with_thickness(self, thickness: float) -> "Hologram":
         """This hologram at `thickness`; the exposures were validated already."""
-        _check_thickness(thickness)
         tuned = copy.copy(self)
-        object.__setattr__(tuned, "thickness", thickness)
+        object.__setattr__(tuned, "thickness", _thickness(thickness))
         return tuned
 
 
-def _check_thickness(thickness: float | None) -> None:
-    if thickness is not None and not 0.0 < thickness < math.inf:
-        raise ValueError(f"thickness must be positive and finite when set, got {thickness}")
+def _thickness(thickness: float | None) -> float | None:
+    """A set thickness as a float, checked; None leaves it unset."""
+    return None if thickness is None else float(_require_real(
+        thickness, ValueError, "thickness", rule="be positive and finite when set"))
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,12 @@ class GratingStack:
     mode_set: ModeSet
 
     def __post_init__(self):
-        object.__setattr__(self, "holograms", tuple(self.holograms))
+        if not isinstance(self.mode_set, ModeSet):
+            raise ValueError(f"mode_set must be a ModeSet, got {self.mode_set!r}")
+        holograms = tuple(self.holograms) if isinstance(self.holograms, Iterable) else None
+        if holograms is None or not all(isinstance(h, Hologram) for h in holograms):
+            raise ValueError(f"holograms must be a sequence of Holograms, got {self.holograms!r}")
+        object.__setattr__(self, "holograms", holograms)
         for hologram in self.holograms:
             hologram._fringes.positions(self.mode_set)  # raises UnknownMode outside the set
 
@@ -255,12 +259,8 @@ class MaterialSpec:
     name: str = ""
 
     def __post_init__(self):
-        names = ("max_total_thickness", "max_index_modulation", "meters_per_recording")
-        _require_reals(self, ValueError, *names)
-        for field_name in names:
-            value = getattr(self, field_name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{field_name} must be positive and finite, got {value}")
+        for name in ("max_total_thickness", "max_index_modulation", "meters_per_recording"):
+            _require_real(getattr(self, name), ValueError, name)
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -364,7 +364,8 @@ def compile_signed_permutation_stack(
             f"matrix shape {unitary.shape} does not match mode dimension {n}"
         )
     entries = _signed_permutation_entries(unitary, n)
-    _check_index_modulation(index_modulation)  # also when every column is an identity column
+    # Also when every column is an identity column.
+    _require_real(index_modulation, ValueError, "index modulation")
 
     def grating(target, source, value, phase, label):  # replaying `source` gives `target`
         fringe = modes.position(target), [modes.position(source)], [value], index_modulation, phase

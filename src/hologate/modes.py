@@ -39,12 +39,19 @@ MAX_DIMENSION = 256
 MODE_SETS_KEPT = 8
 
 
-def _require_reals(owner, error: type[Exception], *names: str) -> None:
-    """Raise `error` naming the first field in `names` that holds no real number, or a bool."""
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise error(f"{name} must be a real number, got {value!r}")
+def _require_real(value, error: type[Exception], name: str, low: float = 0.0,
+                  high: float = math.inf, rule: str = "be positive and finite", label: str = ""):
+    """`value` when it is a real number, not a bool, with low < value < high.
+
+    Otherwise raise `error`: "<name> must be a real number" for a wrong type,
+    else "<label or name> must <rule>, got <value>".
+    """
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not low < value < high:
+        raise error(f"{label or name} must {rule}, got {value}")
+    return value
 
 
 class Role(enum.Enum):
@@ -75,12 +82,9 @@ class PlaneWaveMode:
     def __post_init__(self):
         if self.index < 1:
             raise InvalidGeometry(f"mode index must be >= 1, got {self.index}")
-        if not 0.0 < self.cone_half_angle < math.pi / 2:
-            raise InvalidGeometry(
-                f"cone half angle must lie in (0, pi/2), got {self.cone_half_angle}"
-            )
-        if not 0.0 < self.wavenumber < math.inf:
-            raise InvalidGeometry(f"wavenumber must be positive and finite, got {self.wavenumber}")
+        _require_real(self.cone_half_angle, InvalidGeometry, "cone half angle", high=math.pi / 2,
+                      rule="lie in (0, pi/2)")
+        _require_real(self.wavenumber, InvalidGeometry, "wavenumber")
         object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
 
 
@@ -108,32 +112,22 @@ class ConeGeometry:
             object.__setattr__(self, "dimension", operator.index(self.dimension))
         except TypeError:
             raise InvalidGeometry(f"dimension must be an integer, got {self.dimension!r}") from None
-        _require_reals(self, InvalidGeometry, "signal_half_angle", "reference_half_angle",
-                       "wavelength", "aperture_breadth", "signal_azimuth_offset",
-                       "reference_azimuth_offset")
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise InvalidGeometry(
                 f"dimension must lie in [1, {MAX_DIMENSION}], got {self.dimension}"
             )
-        for name, angle in (
-            ("signal_half_angle", self.signal_half_angle),
-            ("reference_half_angle", self.reference_half_angle),
-        ):
-            if not 0.0 < angle < math.pi / 2:
-                raise InvalidGeometry(f"{name} must lie in (0, pi/2), got {angle}")
+        for name in ("signal_half_angle", "reference_half_angle"):
+            _require_real(getattr(self, name), InvalidGeometry, name, high=math.pi / 2,
+                          rule="lie in (0, pi/2)")
         if math.isclose(
             self.signal_half_angle, self.reference_half_angle, rel_tol=1e-12, abs_tol=0.0
         ):
             raise InvalidGeometry("signal and reference cones must have distinct half angles")
-        if not 0.0 < self.wavelength < math.inf:
-            raise InvalidGeometry(f"wavelength must be positive and finite, got {self.wavelength}")
-        if not 0.0 < self.aperture_breadth < math.inf:
-            raise InvalidGeometry(
-                f"aperture breadth must be positive and finite, got {self.aperture_breadth}"
-            )
+        _require_real(self.wavelength, InvalidGeometry, "wavelength")
+        _require_real(self.aperture_breadth, InvalidGeometry, "aperture_breadth",
+                      label="aperture breadth")
         for name in ("signal_azimuth_offset", "reference_azimuth_offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidGeometry(f"{name} must be finite, got {getattr(self, name)}")
+            _require_real(getattr(self, name), InvalidGeometry, name, -math.inf, rule="be finite")
 
     @property
     def wavenumber(self) -> float:

@@ -21,13 +21,14 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hologate import circuit as qc
 from hologate import cmt, compiler, formats, samples
 from hologate.cli import main
-from hologate.errors import InvalidGeometry
+from hologate.errors import HologateError, InvalidGeometry
 from hologate.modes import make_cone_basis
 
 from conftest import strict_json
@@ -300,3 +301,111 @@ def test_material_field_of_wrong_type(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be") as raised:
         replace(samples.sample_material(), **{name: value})
     assert not isinstance(raised.value, TypeError)
+
+
+# -- the other library constructors and the engine entry points --------------
+#
+# Each field gets values of the wrong type (str, None, bool), non-finite
+# and out-of-range numbers, and numpy scalars.  A rejected value raises a
+# HologateError or ValueError naming the field, never a bare TypeError or
+# AttributeError; an accepted plan writes, reads back and writes the same
+# bytes.
+
+MODES2 = make_cone_basis(samples.sample_geometry(2))
+STACK2 = compiler.GratingStack(
+    (compiler.compile_multiplex(qc.HADAMARD, MODES2), compiler.compile_redirection(MODES2)),
+    MODES2,
+)
+SYSTEM2 = cmt.build_coupling(STACK2.holograms[0], MODES2)
+
+
+def plan_with(name, value):
+    """A one-exposure plan on MODES2 with `value` in the field `name`."""
+    exposure = {"coefficient": 1.0, "index_modulation": 1e-4, "phase": 0.0}
+    hologram = {"thickness": 2e-3, "label": "h"}
+    stack = {"mode_set": MODES2}
+    for fields in (exposure, hologram, stack):
+        if name in fields:
+            fields[name] = value
+    signal, partner = MODES2.signals[0], MODES2.references[0]
+    e = compiler.Exposure(partner, {signal: exposure.pop("coefficient")}, **exposure)
+    holograms = value if name == "holograms" else (compiler.Hologram([e], **hologram),)
+    return compiler.GratingStack(holograms, **stack)
+
+
+#: field -> (what its error message names, rejected values, accepted values)
+PLAN_FIELDS = {
+    "coefficient": ("coefficients|superposition norm",
+                    ["1", None, True, b"1", math.nan, math.inf],
+                    [np.float32(1.0), np.int64(1), np.complex64(1j), -1]),
+    "index_modulation": ("index modulation",
+                         ["1e-4", None, True, math.nan, math.inf, 0, -1e-4],
+                         [np.float32(1e-4), np.float64(1e-4), np.int64(1), 1]),
+    "phase": ("exposure phase",
+              ["0", None, True, math.nan, math.inf, -math.inf],
+              [np.float32(0.5), np.int64(1), 3, -0.0]),
+    "thickness": ("thickness",
+                  ["0.01", True, math.nan, math.inf, 0, np.float64(-1.0)],
+                  [None, np.float32(0.01), np.int64(1), 1, np.float64(2e-3)]),
+    "label": ("label", [5, None, True, math.nan, b"h"], [np.str_("h"), ""]),
+    "mode_set": ("mode_set",
+                 ["modes", None, True, math.nan, np.float64(1.0), samples.sample_geometry(2)],
+                 []),
+    "holograms": ("holograms",
+                  ["ab", None, True, math.nan, 5, np.float64(1.0), [None],
+                   STACK2.holograms[0]],
+                  [[], list(STACK2.holograms[:1])]),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, rejected, _) in PLAN_FIELDS.items() for value in rejected
+])
+def test_plan_field_rejected_by_its_class(name, value):
+    with pytest.raises((HologateError, ValueError), match=PLAN_FIELDS[name][0]):
+        plan_with(name, value)
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, _, accepted) in PLAN_FIELDS.items() for value in accepted
+])
+def test_plan_field_accepted_round_trips(name, value, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    formats.dump_json(formats.plan_to_dict(plan_with(name, value)), first)
+    again = formats.plan_from_dict(formats.load_json(first))
+    formats.dump_json(formats.plan_to_dict(again), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+#: argument -> (what its error message names, the call, rejected values, accepted values)
+ENGINE_ARGUMENTS = {
+    "thickness": ("thickness", lambda v: cmt.detuned_transfer(SYSTEM2, v),
+                  ["0.01", None, True, math.nan, math.inf, 0],
+                  [np.float32(2e-3), np.float64(2e-3), np.int64(1)]),
+    "tilt": ("tilt", lambda v: cmt.detuned_transfer(SYSTEM2, 2e-3, tilt=v,
+                                                    tilt_mode=MODES2.signals[0]),
+             ["x", None, True, math.nan, math.inf],
+             [np.float32(1e-3), np.int64(0), 0]),
+    "samples": ("samples", lambda v: cmt.selectivity_sweep(STACK2, None, 1e-3, v),
+                ["3", None, True, math.nan, math.inf, 3.0, np.float64(3.0)],
+                [np.int64(3), 3]),
+    "tilt_range": ("tilt range", lambda v: cmt.selectivity_sweep(STACK2, None, v, 3),
+                   ["1e-3", None, True, math.nan, math.inf, 0, np.int64(2)],
+                   [np.float32(1e-3), np.float64(1e-3)]),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, _, rejected, _) in ENGINE_ARGUMENTS.items() for value in rejected
+])
+def test_engine_argument_rejected(name, value):
+    names, call, _, _ = ENGINE_ARGUMENTS[name]
+    with pytest.raises((HologateError, ValueError), match=names):
+        call(value)
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, _, _, accepted) in ENGINE_ARGUMENTS.items() for value in accepted
+])
+def test_engine_argument_accepted(name, value):
+    ENGINE_ARGUMENTS[name][1](value)

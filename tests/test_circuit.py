@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,8 +26,13 @@ from hologate.circuit import (
     teleport_input,
     teleportation_circuit,
     teleportation_unitary,
+    validate_circuit,
+    without_terminal_measurements,
 )
+from hologate.cli import main
 from hologate.errors import DimensionMismatch, MalformedCircuit, WireOutOfRange
+from hologate.formats import dump_json, geometry_to_dict
+from hologate.samples import sample_geometry
 
 from conftest import random_state
 
@@ -354,3 +360,44 @@ class TestMeasurementDistribution:
         dist = measurement_distribution(circuit, teleport_input(random_state(2, rng)))
         assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-12)
         assert all(p == pytest.approx(0.25, abs=1e-9) for p in dist.values())
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Gate(GateKind.CNOT, (1, 1)), MalformedCircuit, "wires must be distinct"),
+        (lambda: Gate(GateKind.CONTROLLED_U, (1, 2)), MalformedCircuit, "needs a payload"),
+        (lambda: Gate(GateKind.CONTROLLED_U, (1, 2), np.eye(4)), DimensionMismatch,
+         r"payload shape \(4, 4\) does not fit 1 target"),
+        (lambda: Gate(GateKind.X, (1,), PAULI_X), MalformedCircuit,
+         "only controlled-U gates carry a payload"),
+        (lambda: QuantumCircuit(0, ()), MalformedCircuit, "width must be >= 1"),
+        (lambda: validate_circuit(QuantumCircuit(1, ("x",))), MalformedCircuit,
+         "unknown circuit element 'x'"),
+        (lambda: without_terminal_measurements(
+            QuantumCircuit(1, (Measurement(1), Gate(GateKind.X, (1,))))),
+         MalformedCircuit, "non-terminal measurements"),
+        (lambda: apply_unitary(np.ones((2, 4)), np.ones(4)), DimensionMismatch,
+         "expected a square matrix"),
+        (lambda: teleportation_unitary("other"), ValueError, "got 'other'"),
+        (lambda: teleport_input(np.ones(4)), DimensionMismatch, "single-qubit state"),
+        (lambda: measurement_distribution(QuantumCircuit(2, (Measurement(1),)), np.ones(2)),
+         DimensionMismatch, "does not match width 2"),
+    ])
+    def test_raises_its_error(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    @pytest.mark.parametrize("gate, message", [
+        ({"kind": "gate", "name": "cnot", "wires": [1, 1]}, "wires must be distinct"),
+        ({"kind": "gate", "name": "cu", "wires": [1, 2]}, "needs a payload"),
+    ])
+    def test_compile_circuit_exits_2(self, tmp_path, capsys, gate, message):
+        circuit, geometry, plan = (tmp_path / name for name in ("c.json", "g.json", "plan.json"))
+        circuit.write_text(json.dumps({"width": 2, "elements": [gate]}))
+        dump_json(geometry_to_dict(sample_geometry(4)), geometry)
+        assert main(["compile", "--circuit", str(circuit), "--geometry", str(geometry),
+                     "--out", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: MalformedCircuit: ") and message in captured.err
+        assert not plan.exists()

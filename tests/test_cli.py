@@ -1095,3 +1095,36 @@ class TestBoundaryChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: FileFormatError:") and message in err
         assert not out.exists()
+
+
+def test_commands_run_without_scipy_or_hypothesis(tmp_path):
+    # numpy is the one runtime dependency; the test extra adds scipy and
+    # hypothesis, so an in-process test would not notice a stray import.
+    circuit = {"width": 2, "elements": [{"kind": "gate", "name": "h", "wires": [1]},
+                                        {"kind": "gate", "name": "cnot", "wires": [1, 2]},
+                                        {"kind": "measure", "wire": 2}]}
+    (tmp_path / "circuit.json").write_text(json.dumps(circuit))
+    script = """if True:
+        import sys
+        sys.modules["scipy"] = sys.modules["hypothesis"] = None
+        from hologate.cli import main
+        out = sys.argv[1]
+        plan, crosstalk = out + "/teleport/plan.json", ["--crosstalk", "--out"]
+        bell, cfg = out + "/bell.json", out + "/cfg"
+        codes = [main(["cnot-demo", "--out-dir", out + "/cnot"]),
+                 main(["teleport-demo", "--out-dir", out + "/teleport"]),
+                 main(["init", "--dimension", "4", "--out-dir", cfg]),
+                 main(["compile", "--circuit", out + "/circuit.json",
+                       "--geometry", cfg + "/geometry.json", "--out", bell]),
+                 main(["feasibility", "--plan", bell, "--material", cfg + "/material.json"]),
+                 main(["simulate", "--plan", plan, *crosstalk, out + "/xt.json"]),
+                 main(["sweep", "--plan", plan, "--tilt-range", "2e-3", "--samples", "3",
+                       *crosstalk, out + "/xt.csv"])]
+        assert codes == [0] * 7, codes
+        scipy = [name for name, module in sys.modules.items()
+                 if name.partition(".")[0] == "scipy" and module is not None]
+        assert not scipy, scipy
+    """
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

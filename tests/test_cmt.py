@@ -733,3 +733,39 @@ class TestSelectivitySweep:
                 GratingStack(holograms=(single_grating(modes2),), mode_set=modes2),
                 material, 1e-3, 1,
             )
+
+
+def test_pass_2_rejects_candidates_in_the_slack_band(monkeypatch):
+    # Pass 2 searches with 2*pi/D widened by 1e-9, then rejects by the scalar
+    # hypot test at 2*pi/D exactly.  h0 is the shortest nonzero offset of the
+    # teleport multiplex at N = 8 that is not a fringe's own pair; an aperture
+    # putting 2*pi/D just below it lands those offsets in the widened band.
+    from conftest import geometry
+    from hologate.modes import make_cone_basis
+    from test_coupling_oracle import reference_build
+
+    h0 = 138199.62421934376
+    tol = h0 * (1.0 - 2e-10)
+    modes = make_cone_basis(replace(geometry(8), aperture_breadth=TWO_PI / tol))
+    hologram = compile_multiplex(TELEPORT_UNITARY_UNCONDITIONAL_Z, modes)
+
+    lengths = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def hypot(self, *coordinates):
+            lengths.append(math.hypot(*coordinates))
+            return lengths[-1]
+
+    monkeypatch.setattr(cmt, "math", CountingMath())
+    system = build_coupling(hologram, modes)
+
+    rejected = [length for length in lengths if length >= TWO_PI / modes.geometry.aperture_breadth]
+    assert (len(lengths), len(rejected)) == (28, 12)
+    assert all(length < tol * (1.0 + 1e-9) for length in rejected)
+    reference = reference_build(hologram, modes)[0]
+    assert system.kappa.tobytes() == reference.kappa.tobytes()
+    assert system.xi.tobytes() == reference.xi.tobytes()
+    assert system.recorded_mask.tobytes() == reference.recorded_mask.tobytes()
