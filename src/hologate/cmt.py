@@ -34,7 +34,8 @@ recorded fringes, tilted or not, up to rounding, since a recorded grating
 is k_m - k_p), the substitution a = exp(i D z) b makes the equations
 constant-coefficient and the slab transfer is exactly
 exp(i D d) expm(i d (K - D)), or exp(i d K) on a phase-matched slab:
-Kogelnik's closed form taken to N waves, one `eigh` per slab.  Otherwise
+Kogelnik's closed form taken to N waves, one `eigh` per slab (one stacked
+`eigh` for all of a sweep batch's tilts on that slab).  Otherwise
 (parasitic fringes whose mismatches no potential explains) a fixed-step
 RK4 integrates the equations.
 
@@ -77,6 +78,7 @@ _UNITARITY_TOL_PER_STEP = (TWO_PI / _STEPS_PER_CYCLE) ** 6 / 72.0
 #: length of one call.
 _PHASE_BUDGET_BYTES = 128 * 1024
 #: Bytes of the n x n complex transfers of a batch of tilts `selectivity_sweep` runs at once.
+#: A slab's stacked exact route holds about eight arrays of that size while it runs.
 _BATCH_BYTES = 4 * 1024 * 1024
 #: Most tilt samples `selectivity_sweep` takes.  Each one propagates the
 #: whole stack, so far larger counts would run for hours or fail to allocate.
@@ -357,19 +359,24 @@ def optimal_thickness(system: CouplingSystem) -> float:
 
 
 def _hermitian_exp(matrix: np.ndarray, thickness: float) -> np.ndarray:
-    """expm(i thickness matrix) of a Hermitian matrix, by one eigh."""
+    """expm(i thickness matrix) of a Hermitian matrix, or of each slice of a
+    (B, n, n) stack, by one eigh.  eigh and matmul run LAPACK and BLAS on each
+    slice as on a 2-D call, so a slice holds that call's bytes."""
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    return (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
+    phases = np.exp(1j * thickness * eigenvalues)[..., None, :]
+    return (eigenvectors * phases) @ eigenvectors.conj().swapaxes(-1, -2)
 
 
 def _tilt_shift(modes: tuple, tilt: float, tilt_mode: PlaneWaveMode | None) -> np.ndarray | None:
     """k_z(tilted) - k_z(untilted) of each mode, or None when `tilt` is 0; every
-    mode tilts when `tilt_mode` is None."""
+    mode tilts when `tilt_mode` is None.  Only a mode of `tilt_mode`'s index
+    is compared with it in full."""
     if tilt == 0.0:
         return None
     shift = np.zeros(len(modes))
+    index = getattr(tilt_mode, "index", None)
     for n, mode in enumerate(modes):
-        if tilt_mode is None or mode == tilt_mode:
+        if tilt_mode is None or mode.index == index and mode == tilt_mode:
             tilted = replace(mode, cone_half_angle=mode.cone_half_angle + tilt)
             shift[n] = wave_vector(tilted)[2] - wave_vector(mode)[2]
     return shift
@@ -380,42 +387,52 @@ def _select_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """kappa and xi restricted to the requested couplings, a tilt applied.
 
-    A tilt is its `_tilt_shift`, which adds shift_a - shift_b to xi_ab.
+    A tilt is its `_tilt_shift`, which adds shift_a - shift_b to xi_ab.  A
+    (B, n) stack of shifts gives a (B, n, n) stack of detunings, in one
+    broadcast; kappa, which no tilt changes, stays (n, n).
     """
-    xi = system.xi if shift is None else system.xi + (shift[:, None] - shift[None, :])
+    xi = system.xi if shift is None else (
+        system.xi + (shift[..., :, None] - shift[..., None, :]))
     mask = system.recorded_mask if not include_crosstalk else (
         system.recorded_mask | (system.kappa != 0.0)
     )
     return np.where(mask, system.kappa, 0.0), np.where(mask, xi, 0.0)
 
 
-def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float]:
+def _potential(kappa: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, float | list]:
     """Per-mode potential d fitting xi_nm = d_n - d_m, and its worst residual.
 
     d is fixed by a spanning-tree walk over the coupled pairs (kappa != 0),
     with d = 0 at the first mode of each connected component; the residual
     is max |xi_nm - (d_n - d_m)| over every coupled pair, so it is zero
     exactly when a potential explains all the detunings that act.  When no
-    coupled detuning is nonzero (every untilted slab without crosstalk) the
-    walk would give +0.0 everywhere, so zeros are returned without it.
+    selected detuning is nonzero (every untilted slab without crosstalk) the
+    walk would give +0.0 everywhere, so zeros are returned without it.  A
+    (B, n, n) stack of detunings gives (B, n) potentials and a list of B
+    residuals from one walk, since the tree depends on kappa alone.
     """
+    if not xi.any():
+        return np.zeros(xi.shape[:-1]), np.zeros(xi.shape[:-2]).tolist()
     rows, cols = np.nonzero(kappa)
-    if not xi[rows, cols].any():
-        return np.zeros(kappa.shape[0]), 0.0
-    potential = _walk(kappa.shape[0], rows.tolist(), cols.tolist(), xi[cols, rows].tolist())
-    misfit = np.abs(xi - (potential[:, None] - potential[None, :]))[rows, cols]
-    return potential, float(misfit.max(initial=0.0))
+    potential = _walk(kappa.shape[0], rows.tolist(), cols.tolist(), xi[..., cols, rows])
+    misfit = np.abs(xi[..., rows, cols] - (potential[..., rows] - potential[..., cols]))
+    return potential, misfit.max(axis=-1, initial=0.0).tolist()
 
 
-def _walk(n: int, rows: list, cols: list, rates: list) -> np.ndarray:
+def _walk(n: int, rows: list, cols: list, rates) -> np.ndarray:
     """`_potential`'s walk over the coupled pairs (rows[i], cols[i]), row-major,
-    rates[i] being xi[cols[i], rows[i]].  Last in, first out, and unreached
-    neighbours in ascending order: the tree of a per-mode `np.flatnonzero` walk.
+    rates[..., i] being xi[..., cols[i], rows[i]] of one slab or of each slice
+    of a stack.  Last in, first out, and unreached neighbours in ascending
+    order: the tree of a per-mode `np.flatnonzero` walk.  The tree is walked
+    once; each edge adds every slice's rate to its potentials.
     """
+    rates = np.asarray(rates)
+    slices = rates.reshape(math.prod(rates.shape[:-1]), -1).tolist()
+    potentials = [[0.0] * n for _ in slices]
     neighbours = [[] for _ in range(n)]
-    for m, k, rate in zip(rows, cols, rates):
-        neighbours[m].append((k, rate))
-    potential, reached = [0.0] * n, [False] * n
+    for pair, (m, k) in enumerate(zip(rows, cols)):
+        neighbours[m].append((k, pair))
+    reached = [False] * n
     for root in range(n):
         if reached[root]:
             continue
@@ -423,30 +440,40 @@ def _walk(n: int, rows: list, cols: list, rates: list) -> np.ndarray:
         frontier = [root]
         while frontier:
             m = frontier.pop()
-            for k, rate in neighbours[m]:
+            for k, pair in neighbours[m]:
                 if not reached[k]:
-                    potential[k] = potential[m] + rate
+                    for potential, slice_rates in zip(potentials, slices):
+                        potential[k] = potential[m] + slice_rates[pair]
                     reached[k] = True
                     frontier.append(k)
-    return np.array(potential)
+    return np.array(potentials).reshape(*rates.shape[:-1], n)
 
 
-def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float) -> int:
+def _step_count(kappa: np.ndarray, xi: np.ndarray, thickness: float):
     """RK4 steps resolving the coupling beat and the fastest detuning phase.
 
     At least `_MIN_STEPS`, and `_STEPS_PER_CYCLE` per radian-cycle of
     max|xi| + 2 max|kappa|.  Raises StepUnderflow above `_MAX_STEPS`, or
-    when thickness times that rate is not finite.
+    when thickness times that rate is not finite.  A (B, n, n) stack of
+    detunings takes one max per slice and gives an iterator over the
+    slices' counts, which raises at the first slice that fails.
     """
-    rate = float(np.abs(xi).max(initial=0.0) + 2.0 * np.abs(kappa).max(initial=0.0))
-    if not math.isfinite(thickness * rate):
-        raise StepUnderflow(f"step bound overflows at thickness {thickness}")
-    steps = max(_MIN_STEPS, math.ceil(thickness * rate * _STEPS_PER_CYCLE / TWO_PI))
-    if steps > _MAX_STEPS:
-        raise StepUnderflow(
-            f"step bound needs {steps} integrator steps; system is too stiff"
-        )
-    return steps
+    rates = np.abs(xi).max(axis=(-2, -1), initial=0.0) + 2.0 * np.abs(kappa).max(initial=0.0)
+    counts = _counts(rates.tolist() if xi.ndim == 3 else [float(rates)], thickness)
+    return counts if xi.ndim == 3 else next(counts)
+
+
+def _counts(rates: list, thickness: float):
+    """`_step_count`'s count for each rate, raising at the first that fails."""
+    for rate in rates:
+        if not math.isfinite(thickness * rate):
+            raise StepUnderflow(f"step bound overflows at thickness {thickness}")
+        steps = max(_MIN_STEPS, math.ceil(thickness * rate * _STEPS_PER_CYCLE / TWO_PI))
+        if steps > _MAX_STEPS:
+            raise StepUnderflow(
+                f"step bound needs {steps} integrator steps; system is too stiff"
+            )
+        yield steps
 
 
 def _integrate(kappa: np.ndarray, xi: np.ndarray, thickness: float, steps: int) -> np.ndarray:
@@ -562,28 +589,52 @@ def _slab_transfers(
     shifts: list[np.ndarray | None],
 ) -> tuple[list[np.ndarray], Exception | None]:
     """`detuned_transfer`'s transfers at each tilt's `_tilt_shift` before the
-    first that fails, and that failure (or None).  The RK4-route tilts of one
-    step count run as one stack."""
-    routed, error, stacks = [], None, {}
-    for shift in shifts:
+    first that fails, and that failure (or None).
+
+    Every shift is routed first, then each route runs once: the exact-route
+    shifts as one stacked `_hermitian_exp`, the RK4-route shifts of one step
+    count as one stacked `_integrate`.  An untilted shift among tilted ones
+    is a zero shift, which can turn a -0.0 detuning into +0.0; neither route
+    reads the sign of a zero detuning.
+    """
+    n = len(system.modes)
+    untilted = all(shift is None for shift in shifts)
+    kappa, xi = _select_system(system, include_crosstalk, None if untilted else np.array(
+        [np.zeros(n) if shift is None else shift for shift in shifts]))
+    if untilted:
+        xi = xi[None].repeat(len(shifts), axis=0)
+    counts, error = [], None
+    try:
+        for steps in _step_count(kappa, xi, thickness):
+            counts.append(steps)
+    except (ArithmeticError, RuntimeError, ValueError) as failure:
+        error = failure  # kept for the caller to raise in its own order
+    xi = xi[:len(counts)]
+    potential, residuals = _potential(kappa, xi)
+    exact = [index for index, residual in enumerate(residuals)
+             if residual * thickness <= _POTENTIAL_TOL]
+    routed = [None] * len(counts)
+    if exact:
+        phases = potential[exact]
+        diagonal = np.zeros((len(exact), n, n))
+        diagonal.reshape(len(exact), n * n)[:, ::n + 1] = phases
         try:
-            kappa, xi = _select_system(system, include_crosstalk, shift)
-            steps = _step_count(kappa, xi, thickness)
-            potential, residual = _potential(kappa, xi)
-            if residual * thickness <= _POTENTIAL_TOL:
-                exact = _hermitian_exp(kappa - np.diag(potential), thickness)
-                routed.append((np.exp(1j * thickness * potential)[:, None] * exact, _UNITARITY_TOL))
-            else:
-                stacks.setdefault(steps, []).append((len(routed), kappa, xi))
-                routed.append(None)
+            stack = np.exp(1j * thickness * phases)[..., None] * _hermitian_exp(
+                kappa - diagonal, thickness)
         except (ArithmeticError, RuntimeError, ValueError) as failure:
-            error = failure  # kept for the caller to raise in its own order
-            break
-    for steps, group in stacks.items():
-        at, kappas, xis = zip(*group)
+            # eigh fails only on input that is not finite, which an exact
+            # residual rules out; a failure is taken to be the first shift's.
+            error, routed, exact, stack = failure, routed[:exact[0]], [], []
+        for index, transfer in zip(exact, stack):
+            routed[index] = transfer, _UNITARITY_TOL
+    stacks = {}
+    for index, route in enumerate(routed):
+        if route is None:
+            stacks.setdefault(counts[index], []).append(index)
+    for steps, at in stacks.items():
         # A lone slab stays 2-D, where np.dot costs less per call.
-        stack = [_integrate(kappas[0], xis[0], thickness, steps)] if len(at) == 1 else (
-            _integrate(np.stack(kappas), np.stack(xis), thickness, steps))
+        stack = [_integrate(kappa, xi[at[0]], thickness, steps)] if len(at) == 1 else (
+            _integrate(kappa[None].repeat(len(at), axis=0), xi[at], thickness, steps))
         for index, transfer in zip(at, stack):
             routed[index] = transfer, _UNITARITY_TOL_PER_STEP * steps
     transfers = [transfer for transfer, _ in routed]
@@ -717,7 +768,9 @@ def selectivity_sweep(
     The input is the dominant component of the first exposure; the
     designed output mode is wherever the untilted, tuned stack sends the
     most power from it.  Rows are (tilt, efficiency), tilt ascending and
-    equally spaced over [0, tilt_range].
+    equally spaced over [0, tilt_range].  Each slab runs a batch of tilts
+    at once on both routes (see `_slab_transfers`); every row has the bits
+    of a sweep that propagates one tilt at a time.
     """
     if not isinstance(samples, numbers.Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")

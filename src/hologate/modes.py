@@ -41,7 +41,8 @@ MODE_SETS_KEPT = 8
 
 def _require_real(value, error: type[Exception], name: str, low: float = 0.0,
                   high: float = math.inf, rule: str = "be positive and finite", label: str = ""):
-    """`value` when it is a real number, not a bool, with low < value < high.
+    """`value` when it is a real number, not a bool, with a finite float value
+    and low < value < high.
 
     Otherwise raise `error`: "<name> must be a real number" for a wrong type,
     else "<label or name> must <rule>, got <value>".
@@ -49,7 +50,11 @@ def _require_real(value, error: type[Exception], name: str, low: float = 0.0,
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise error(f"{name} must be a real number, got {value!r}")
-    if not low < value < high:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond float range
+        finite = False
+    if not (finite and low < value < high):
         raise error(f"{label or name} must {rule}, got {value}")
     return value
 

@@ -3,10 +3,11 @@
 `reference_sweep` keeps the loop `selectivity_sweep` ran before it
 batched tilts: one `detuned_transfer` per tilt and hologram, tilt-major,
 the untilted stack first.  `selectivity_sweep` now propagates each slab
-at a batch of tilts at once, RK4-route tilts of one step count as one
-stacked `_integrate` call, and must write the same rows, raise the same
-first failure, and leave each stacked slice with the bits of its own
-2-D run.
+at a batch of tilts at once: exact-route tilts as one stacked
+`_hermitian_exp` call, RK4-route tilts of one step count as one stacked
+`_integrate` call.  It must write the same rows, raise the same first
+failure, and leave each stacked slice with the bits of its own 2-D run.
+`exact_reference` keeps the per-shift exact route on the 2-D helpers.
 """
 
 from dataclasses import replace
@@ -32,7 +33,7 @@ from hologate.compiler import (
     compile_signed_permutation_stack,
 )
 from hologate.errors import StepUnderflow
-from hologate.modes import make_cone_basis
+from hologate.modes import PlaneWaveMode, Role, TWO_PI, make_cone_basis
 
 from conftest import geometry, haar_unitary
 
@@ -295,3 +296,148 @@ def test_too_stiff_tilt_exits_as_per_tilt_loop(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == f"error: StepUnderflow: {reference[1]}\n"
+
+
+# -- the exact route, stacked ------------------------------------------------
+
+
+def exact_reference(system, thickness, crosstalk, shift):
+    """The exact-route transfer of one shift as the per-shift loop built it:
+    the 2-D helpers' detunings and potential, then one 2-D eigh."""
+    kappa, xi = cmt._select_system(system, crosstalk, shift)
+    cmt._step_count(kappa, xi, thickness)
+    potential, residual = cmt._potential(kappa, xi)
+    assert residual * thickness <= cmt._POTENTIAL_TOL
+    eigenvalues, eigenvectors = np.linalg.eigh(kappa - np.diag(potential))
+    exact = (eigenvectors * np.exp(1j * thickness * eigenvalues)) @ eigenvectors.conj().T
+    return np.exp(1j * thickness * potential)[:, None] * exact
+
+
+EXACT_STACKS = {
+    "teleport": lambda: multiplex_stack(TELEPORT_UNITARY_UNCONDITIONAL_Z),
+    "cnot": STACKS["cnot"],
+    "haar4": STACKS["haar4"],
+    "haar8": lambda: multiplex_stack(haar_unitary(8, np.random.default_rng(8))),
+    "haar16": lambda: multiplex_stack(haar_unitary(16, np.random.default_rng(16))),
+}
+
+
+def sweep_slabs(stack, material, tilt_range, samples):
+    """Each tuned slab's (system, thickness), and the shifts of a sweep's tilts."""
+    holograms = tune_stack(stack, material).holograms
+    source = cmt._dominant_input(holograms[0], stack.mode_set)
+    shifts = [cmt._tilt_shift(stack.mode_set.universe, tilt, source)
+              for tilt in np.linspace(0.0, tilt_range, samples).tolist()]
+    return [(build_coupling(h, stack.mode_set, material), h.thickness) for h in holograms], shifts
+
+
+@pytest.mark.parametrize("samples", [1, 2, 9, 65])
+@pytest.mark.parametrize("name, crosstalk", [
+    ("teleport", False), ("cnot", False), ("cnot", True),
+    ("haar4", False), ("haar8", False), ("haar16", False),
+])
+def test_exact_slices_match_single_shift_calls(name, crosstalk, samples, material, monkeypatch):
+    monkeypatch.setattr(cmt, "_integrate", lambda *args: pytest.fail("an exact slab integrated"))
+    slabs, shifts = sweep_slabs(EXACT_STACKS[name](), material, 2e-3, max(samples, 2))
+    # One sample is one tilted shift; more start with the untilted one (None).
+    shifts = shifts[-samples:]
+    for system, thickness in slabs:
+        stacked, error = cmt._slab_transfers(system, thickness, crosstalk, shifts)
+        assert error is None and len(stacked) == samples
+        singles = [cmt._slab_transfers(system, thickness, crosstalk, [shift])[0][0]
+                   for shift in shifts]
+        assert_slices_identical(np.array(stacked), singles)
+        references = [exact_reference(system, thickness, crosstalk, shift) for shift in shifts]
+        assert_slices_identical(np.array(stacked), references)
+
+
+def test_exact_sweep_takes_one_stacked_eigh_per_slab(material, monkeypatch):
+    stack = EXACT_STACKS["haar8"]()
+    calls = []
+    exact = cmt._hermitian_exp
+    monkeypatch.setattr(cmt, "_hermitian_exp",
+                        lambda matrix, thickness: calls.append(matrix.shape) or exact(matrix, thickness))
+    rows = selectivity_sweep(stack, material, 2e-3, 9)
+    assert calls == [(9, 16, 16)] * 2
+    assert hex_rows(rows) == hex_rows(reference_sweep(stack, material, 2e-3, 9))
+
+
+@pytest.mark.parametrize("n, batch", [(8, 3), (16, 9), (32, 65)])
+def test_stacked_hermitian_exp_matches_2d_calls(n, batch):
+    rng = np.random.default_rng(n * batch)
+    z = rng.normal(size=(batch, n, n)) + 1j * rng.normal(size=(batch, n, n))
+    matrices = z + np.swapaxes(z.conj(), -1, -2)
+    singles = [cmt._hermitian_exp(matrix, 0.37) for matrix in matrices]
+    assert_slices_identical(cmt._hermitian_exp(matrices, 0.37), singles)
+
+
+def consistent_chain():
+    """Three modes coupled in a chain whose detunings come from a potential."""
+    kappa = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5j], [0.0, -0.5j, 0.0]])
+    potential = np.array([0.0, 0.4, -0.3])
+    modes = tuple(PlaneWaveMode(Role.SIGNAL, i + 1, i * TWO_PI / 3, 0.1, TWO_PI) for i in range(3))
+    return CouplingSystem(
+        modes=modes,
+        kappa=kappa,
+        xi=potential[:, None] - potential[None, :],
+        recorded_mask=np.ones((3, 3), dtype=bool),
+        exposure_strengths=(1.0,),
+    )
+
+
+def test_exact_tilts_of_different_step_counts_share_one_stack(monkeypatch):
+    system = consistent_chain()
+    shifts = [None, *potential_shifts([200.0, 5.0, 100.0, -199.7])]
+    steps = [cmt._step_count(*cmt._select_system(system, False, s), 1.0) for s in shifts]
+    assert steps == [1000, 2581, 1000, 1308, 2564]
+    singles = [exact_reference(system, 1.0, False, shift) for shift in shifts]
+    calls = []
+    exact = cmt._hermitian_exp
+    monkeypatch.setattr(cmt, "_hermitian_exp",
+                        lambda matrix, thickness: calls.append(matrix.shape) or exact(matrix, thickness))
+    ours, error = cmt._slab_transfers(system, 1.0, False, shifts)
+    assert error is None and calls == [(5, 3, 3)]
+    assert_slices_identical(np.array(ours), singles)
+
+
+def test_batched_potential_and_step_bound_match_each_slice(material):
+    slabs, shifts = sweep_slabs(EXACT_STACKS["teleport"](), material, 2e-3, 9)
+    system, thickness = slabs[0]
+    stacked = np.array([np.zeros(len(system.modes)) if s is None else s for s in shifts])
+    kappa, xis = cmt._select_system(system, True, stacked)
+    potentials, residuals = cmt._potential(kappa, xis)
+    counts = list(cmt._step_count(kappa, xis, thickness))
+    for xi, potential, residual, steps in zip(xis, potentials, residuals, counts):
+        single_potential, single_residual = cmt._potential(kappa, xi)
+        assert potential.tobytes() == single_potential.tobytes()
+        assert residual == single_residual and steps == cmt._step_count(kappa, xi, thickness)
+
+
+def test_too_stiff_exact_tilt_fails_as_per_tilt_loop(material):
+    stack = multiplex_stack(haar_unitary(4, np.random.default_rng(2)), index_modulation=1e-6)
+    slabs, shifts = sweep_slabs(stack, None, 1.2, 5)
+    system, thickness = slabs[0]
+    # Only the last tilt is too stiff; the four before it take the exact route.
+    outcomes = [outcome(lambda: cmt._step_count(*cmt._select_system(system, False, s), thickness))
+                for s in shifts]
+    assert [type(o) for o in outcomes] == [int] * 4 + [tuple] and outcomes[4][0] is StepUnderflow
+    ours, error = cmt._slab_transfers(system, thickness, False, shifts)
+    assert (type(error), str(error)) == outcomes[4] and len(ours) == 4
+    singles = [exact_reference(system, thickness, False, shift) for shift in shifts[:4]]
+    assert_slices_identical(np.array(ours), singles)
+    assert outcome(lambda: selectivity_sweep(stack, None, 1.2, 5)) == outcome(
+        lambda: reference_sweep(stack, None, 1.2, 5))
+
+
+def test_failed_stacked_eigh_is_met_at_the_first_exact_tilt(material, monkeypatch):
+    stack = EXACT_STACKS["cnot"]()
+
+    def refuse(matrix, thickness):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cmt, "_hermitian_exp", refuse)
+    slabs, shifts = sweep_slabs(stack, material, 1e-3, 3)
+    assert cmt._slab_transfers(*slabs[0], False, shifts)[0] == []
+    ours = outcome(lambda: selectivity_sweep(stack, material, 1e-3, 3))
+    assert ours == (np.linalg.LinAlgError, "Eigenvalues did not converge")
+    assert ours == outcome(lambda: reference_sweep(stack, material, 1e-3, 3))

@@ -34,6 +34,8 @@ from hologate.modes import make_cone_basis
 from conftest import strict_json
 
 NON_FINITE = [math.nan, math.inf, -math.inf, "nan", "inf"]
+#: An int that Python compares as less than math.inf, but that has no float value.
+HUGE = 10**400
 EXTREME = [0, -1, 1e308, 5e-324]
 
 
@@ -303,6 +305,19 @@ def test_material_field_of_wrong_type(name, value):
     assert not isinstance(raised.value, TypeError)
 
 
+@pytest.mark.parametrize("name", MATERIAL_FIELDS)
+def test_material_field_beyond_float_range(name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got 1000"):
+        replace(samples.sample_material(), **{name: HUGE})
+
+
+@pytest.mark.parametrize("name", GEOMETRY_FIELDS[1:])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_geometry_field_beyond_float_range(name, sign):
+    with pytest.raises(InvalidGeometry, match=" must .*, got -?1000"):
+        replace(samples.sample_geometry(4), **{name: sign * HUGE})
+
+
 # -- the other library constructors and the engine entry points --------------
 #
 # Each field gets values of the wrong type (str, None, bool), non-finite
@@ -339,13 +354,13 @@ PLAN_FIELDS = {
                     ["1", None, True, b"1", math.nan, math.inf],
                     [np.float32(1.0), np.int64(1), np.complex64(1j), -1]),
     "index_modulation": ("index modulation",
-                         ["1e-4", None, True, math.nan, math.inf, 0, -1e-4],
+                         ["1e-4", None, True, math.nan, math.inf, 0, -1e-4, HUGE],
                          [np.float32(1e-4), np.float64(1e-4), np.int64(1), 1]),
     "phase": ("exposure phase",
-              ["0", None, True, math.nan, math.inf, -math.inf],
+              ["0", None, True, math.nan, math.inf, -math.inf, -HUGE],
               [np.float32(0.5), np.int64(1), 3, -0.0]),
     "thickness": ("thickness",
-                  ["0.01", True, math.nan, math.inf, 0, np.float64(-1.0)],
+                  ["0.01", True, math.nan, math.inf, 0, np.float64(-1.0), HUGE],
                   [None, np.float32(0.01), np.int64(1), 1, np.float64(2e-3)]),
     "label": ("label", [5, None, True, math.nan, b"h"], [np.str_("h"), ""]),
     "mode_set": ("mode_set",
@@ -380,17 +395,17 @@ def test_plan_field_accepted_round_trips(name, value, tmp_path):
 #: argument -> (what its error message names, the call, rejected values, accepted values)
 ENGINE_ARGUMENTS = {
     "thickness": ("thickness", lambda v: cmt.detuned_transfer(SYSTEM2, v),
-                  ["0.01", None, True, math.nan, math.inf, 0],
+                  ["0.01", None, True, math.nan, math.inf, 0, HUGE],
                   [np.float32(2e-3), np.float64(2e-3), np.int64(1)]),
     "tilt": ("tilt", lambda v: cmt.detuned_transfer(SYSTEM2, 2e-3, tilt=v,
                                                     tilt_mode=MODES2.signals[0]),
-             ["x", None, True, math.nan, math.inf],
+             ["x", None, True, math.nan, math.inf, HUGE],
              [np.float32(1e-3), np.int64(0), 0]),
     "samples": ("samples", lambda v: cmt.selectivity_sweep(STACK2, None, 1e-3, v),
                 ["3", None, True, math.nan, math.inf, 3.0, np.float64(3.0)],
                 [np.int64(3), 3]),
     "tilt_range": ("tilt range", lambda v: cmt.selectivity_sweep(STACK2, None, v, 3),
-                   ["1e-3", None, True, math.nan, math.inf, 0, np.int64(2)],
+                   ["1e-3", None, True, math.nan, math.inf, 0, np.int64(2), HUGE],
                    [np.float32(1e-3), np.float64(1e-3)]),
 }
 

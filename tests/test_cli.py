@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -553,6 +554,24 @@ class TestDemos:
         assert main(["simulate", "--plan", str(out / "plan.json"),
                      "--out", str(tmp_path / "sim.json")]) == 0
         assert (tmp_path / "sim.json").read_bytes() == (out / "result.json").read_bytes()
+
+    def test_teleport_demo_fails_on_the_bare_element_alone(self, capsys, monkeypatch):
+        # The full stack's signal block is the bare element's reference block
+        # after a unit redirection, so no input found lets only the bare check
+        # miss; a lowered bare fidelity stands in for one.
+        verified = cli._verified
+
+        def bare_below(stack, target, material, threshold):
+            stack, result, report = verified(stack, target, material, threshold)
+            if len(stack.holograms) == 1:
+                report = replace(report, fidelity=0.5, passed=False)
+            return stack, result, report
+
+        monkeypatch.setattr(cli, "_verified", bare_below)
+        assert main(["teleport-demo"]) == 3
+        printed = capsys.readouterr().out
+        assert "bare_reference_fidelity = 0.5" in printed
+        assert "teleport-demo: PASS at threshold" in printed
 
     def test_demo_with_explicit_config(self, tmp_path, config_dir):
         assert main([

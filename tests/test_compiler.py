@@ -173,6 +173,14 @@ class TestCompileSignedPermutationStack:
         stack = compile_signed_permutation_stack(np.eye(4), modes4)
         assert stack.holograms == ()
 
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.0, 0.5]),              # one entry per column, one not unit-modulus
+        np.array([[1.0, 1.0], [0.0, 0.0]]),  # two columns on the same row
+    ], ids=["not-unit-modulus", "shared-row"])
+    def test_rejects_what_is_not_a_phased_permutation(self, matrix, modes2):
+        with pytest.raises(NotSignedPermutation, match="not a signed/phased permutation"):
+            compile_signed_permutation_stack(matrix, modes2)
+
     def test_diagonal_sign_flip(self, modes2, material):
         target = np.diag([1.0, -1.0]).astype(complex)
         stack = compile_signed_permutation_stack(target, modes2)
@@ -271,6 +279,12 @@ class TestPlanInvariants:
     def test_with_thickness_rejects_nonpositive(self, modes4, thickness):
         with pytest.raises(ValueError):
             compile_redirection(modes4).with_thickness(thickness)
+
+    def test_hologram_is_unequal_to_other_types(self, modes4):
+        hologram = compile_redirection(modes4)
+        assert hologram == compile_redirection(modes4)
+        assert hologram.__eq__(hologram.exposures) is NotImplemented
+        assert hologram != hologram.exposures and hologram != "hologram"
 
 
 class TestFeasibilityReport:

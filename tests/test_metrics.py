@@ -70,6 +70,15 @@ class TestProcessFidelity:
         with pytest.raises(DimensionMismatch):
             process_fidelity(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("side", ["target", "realized"])
+    def test_non_finite_matrix_rejected(self, bad, side):
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 1] = bad
+        pair = (matrix, np.eye(2)) if side == "target" else (np.eye(2), matrix)
+        with pytest.raises(ValueError, match="must be finite"):
+            process_fidelity(*pair)
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1e-9, 1.0 + 1e-9])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ValueError, match="threshold"):

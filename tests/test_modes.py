@@ -126,6 +126,11 @@ class TestWaveVector:
         mode = PlaneWaveMode(Role.SIGNAL, 2, math.pi / 2, math.pi / 6, k)
         assert np.allclose(wave_vector(mode), [0.0, 0.5 * k, k * math.sqrt(3) / 2], atol=1e-6)
 
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_index_below_one_rejected(self, index):
+        with pytest.raises(InvalidGeometry, match=f"mode index must be >= 1, got {index}"):
+            PlaneWaveMode(Role.SIGNAL, index, 0.0, math.pi / 6, 1.0)
+
     @pytest.mark.parametrize("wavenumber", [math.nan, math.inf, 0.0])
     def test_non_finite_wavenumber_rejected(self, wavenumber):
         with pytest.raises(InvalidGeometry, match="wavenumber"):
