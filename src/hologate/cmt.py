@@ -222,6 +222,52 @@ def _near_pairs(transverse: np.ndarray, gratings: np.ndarray, bound: float, budg
         first = last
 
 
+def _confirmed(modes: ModeSet, own: np.ndarray, gratings: np.ndarray, budget: int):
+    """Yield (fringe, pair, detuning) array blocks: each fringe's replays by other pairs.
+
+    Fringe i records pair own[i] = m * 2N + p, whose grating k_m - k_p is
+    gratings[i].  Candidates come from `_near_pairs` on the pair table, with a
+    1e-9 relative slack on the tolerance so that no pair the scalar test
+    accepts is missed; one mask per block drops each fringe's own pair and the
+    a == b pairs.  A candidate replays the fringe unless math.hypot of the
+    transverse part of k_a - k_b - grating is >= 2*pi/D; the z part is the
+    replay's detuning.  Entries come in (fringe, pair) order.
+    """
+    tol = TWO_PI / modes.geometry.aperture_breadth
+    vectors = modes.wave_vectors
+    n = len(vectors)
+    table, order = modes.pair_table
+    for fringe, pair in _near_pairs(table, gratings[:, :2], tol * (1.0 + 1e-9), budget, order):
+        other = (pair != own[fringe]) & (pair % (n + 1) != 0)  # a == b: ab = a * (n + 1)
+        fringe, pair = fringe[other], pair[other]
+        a, b = np.divmod(pair, n)
+        offset = vectors[a] - vectors[b] - gratings[fringe]
+        near = ~(np.fromiter(map(math.hypot, offset[:, 0].tolist(), offset[:, 1].tolist()),
+                             float, len(pair)) >= tol)
+        yield fringe[near], pair[near], offset[near, 2]
+
+
+def _replays(modes: ModeSet, m: np.ndarray, p: np.ndarray, budget: int):
+    """`_confirmed`'s blocks for the fringes on pairs (m, p), read from the mode
+    set's replay table; pairs it lacks are searched and kept first.  A search
+    that would take the table past its limit keeps nothing, and the build
+    reads a search of all its pairs instead."""
+    kept, own = modes._replays, m * len(modes.universe) + p
+    fresh = kept.start[own] < 0
+    if fresh.any():
+        gratings = modes.wave_vectors[m] - modes.wave_vectors[p]
+        new, found, room = own[fresh], [], kept.limit - len(kept.pair)
+        for block in _confirmed(modes, new, gratings[fresh], budget):
+            room -= len(block[0])
+            if room < 0:
+                return _confirmed(modes, own, gratings, budget)
+            found.append(block)
+        kept.add(new, found)
+        if fresh.all():
+            return found
+    return (kept.take(own),)
+
+
 def build_coupling(
     hologram: Hologram,
     modes: ModeSet,
@@ -236,14 +282,15 @@ def build_coupling(
     the z mismatch as a detuning rate and act only when crosstalk is
     requested.
 
-    Parasitic candidates come from one window search over the whole
-    hologram (`_near_pairs`), with a 1e-9 relative slack on the tolerance
-    so that no pair the scalar test accepts is missed.  Each is confirmed
-    by the scalar test and added in exposure, component, row-major (a, b)
-    order, the order of an exhaustive scan over all pairs, so every merge,
-    dropped degenerate fringe and float sum, and so the result, is
-    bit-for-bit that scan's.  One mask per search block drops each fringe's
-    own pair; the triage reads plain Python values; only kept replays write arrays.
+    A fringe's replays depend only on the pair it records, so the mode set
+    keeps them, up to (2N)**2 per set: the window search and scalar confirm
+    (`_confirmed`) run only for pairs no earlier build on the set asked for,
+    and a build whose pairs are all kept searches nothing.  The replays are
+    added in exposure, component, row-major (a, b) order, the order of an
+    exhaustive scan over all pairs, so every merge, dropped degenerate
+    fringe and float sum, and so the result, is bit-for-bit that scan's,
+    whichever builds ran on the set before.  The triage reads plain Python
+    values; only kept replays write arrays.
 
     The system is computed once per hologram and mode set and kept, read-only,
     with the fringe table; the `_strengths` checks run on every call.
@@ -255,9 +302,7 @@ def build_coupling(
 
 def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingSystem:
     wavelength = modes.geometry.wavelength
-    transverse_tol = TWO_PI / modes.geometry.aperture_breadth
     universe = modes.universe
-    vectors = modes.wave_vectors
     n = len(universe)
 
     positions = table.positions(modes)
@@ -284,30 +329,19 @@ def _coupling(table, modes: ModeSet, kappa0: np.ndarray, strengths) -> CouplingS
     xi[p[first], m[first]] = -0.0
 
     # Pass 2: parasitic replays of each fringe by other, nearly matched pairs,
-    # searched for in the mode set's pair table.
-    gratings = vectors[m] - vectors[p]
+    # from the mode set's replay table.
     # A tiny aperture widens every window to all n**2 pairs; blocks of half
     # of one exposure's C * n**2 offsets then keep the search's memory small.
     budget = n * n // 2 * max(b - a for a, b in zip(table.bounds, table.bounds[1:]))
-    candidate_bound = transverse_tol * (1.0 + 1e-9)
-    pairs, order = modes.pair_table
-    search = _near_pairs(pairs, gratings[:, :2], candidate_bound, budget, order)
-    vecs, grats, own = vectors.tolist(), gratings.tolist(), m * n + p
     rows, weight, delta_n = table.row.tolist(), table.weight.tolist(), table.delta_n.tolist()
     # At most one detuning per unordered pair: later replays merge into the
     # first.  The triage reads plain Python values and writes numpy only for
     # kept replays.  Recorded pairs are marked in `recorded` (detuning +-0.0);
     # a parasitic pair's pairedness and detuning live only in `detunings`.
     is_recorded, detunings, merged = recorded.tolist(), {}, 0
-    for near_grating, near_pair in search:
-        # Drop each fringe's own pair and the a == b pairs (ab = a * (n + 1)).
-        other = (near_pair != own[near_grating]) & (near_pair % (n + 1) != 0)
-        for g, ab in zip(near_grating[other].tolist(), near_pair[other].tolist()):
+    for fringes, pairs, mismatches in _replays(modes, m, p, budget):
+        for g, ab, detuning in zip(fringes.tolist(), pairs.tolist(), mismatches.tolist()):
             a, b = divmod(ab, n)
-            (ax, ay, az), (bx, by, bz), (gx, gy, gz) = vecs[a], vecs[b], grats[g]
-            if math.hypot(ax - bx - gx, ay - by - gy) >= transverse_tol:
-                continue
-            detuning = az - bz - gz
             recorded_pair = is_recorded[a][b]
             known = 0.0 if recorded_pair else detunings.get(ab)
             if known is None:  # a new parasitic pair

@@ -134,6 +134,7 @@ class _FringeTable:
         self.weight = np.array(weights, dtype=float)
         self.delta_n, self.phase = np.array(delta_n, dtype=float), np.array(phase, dtype=float)
         self._derived: dict[str, tuple[ModeSet | None, Any]] = {}
+        self._filled_from = universe, np.fromiter(local, np.intp, len(local))
 
     def derived(self, name: str, modes: ModeSet | None, compute: Callable[[], Any]) -> Any:
         """compute(), kept under `name` for the last mode set it was asked for."""
@@ -143,7 +144,13 @@ class _FringeTable:
         return held[1]
 
     def positions(self, modes: ModeSet) -> np.ndarray:
-        """Universe position of each of `self.modes`; UnknownMode for one outside the set."""
+        """Universe position of each of `self.modes`; UnknownMode for one outside the set.
+
+        A table filled from `modes.universe` itself returns the positions it was given.
+        """
+        universe, given = self._filled_from
+        if universe is modes.universe:
+            return given
         return self.derived("positions", modes,
                             lambda: np.array([modes.position(m) for m in self.modes], np.intp))
 

@@ -34,8 +34,9 @@ TWO_PI = 2.0 * math.pi
 MAX_DIMENSION = 256
 
 #: Mode sets `make_cone_basis` keeps per process, the least recently used
-#: dropped first.  Once a coupling is built on it, a kept set with its pair
-#: table holds about 39 kB at N = 16, 0.42 MB at N = 64 and 6.4 MB at N = 256.
+#: dropped first.  After a Haar multiplex build on it, a kept set with its
+#: pair table and replays holds about 64 kB at N = 16, 0.76 MB at N = 64 and
+#: 11.9 MB at N = 256, the replays 30 kB, 0.34 MB and 5.5 MB of that.
 MODE_SETS_KEPT = 8
 
 
@@ -199,7 +200,8 @@ class ModeSet:
     def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The transverse parts of k_a - k_b over all (2N)**2 pairs of `universe`,
         sorted by x, and each entry's flat pair index a * 2N + b; read-only,
-        built once.  Pass 2 of `cmt.build_coupling` searches it."""
+        built once.  Pass 2 of `cmt.build_coupling` searches it only for
+        recorded pairs whose replays `_replays` does not hold yet."""
         vectors = self.wave_vectors[:, :2]
         n = len(vectors)
         transverse = (vectors[:, None] - vectors[None, :]).reshape(n * n, 2)
@@ -207,6 +209,11 @@ class ModeSet:
         table = transverse[order]
         order.flags.writeable = table.flags.writeable = False
         return table, order
+
+    @functools.cached_property
+    def _replays(self) -> _ReplayTable:
+        """The parasitic replays pass 2 of `cmt.build_coupling` has confirmed on this set."""
+        return _ReplayTable(len(self.universe))
 
     def find(self, role: Role, index: int) -> PlaneWaveMode:
         listing = self.signals if role is Role.SIGNAL else self.references
@@ -230,11 +237,51 @@ class ModeSet:
         raise UnknownMode(f"mode {mode} is not part of this set")
 
 
+_NO_REPLAYS = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+
+
+class _ReplayTable:
+    """Confirmed parasitic replays of recorded pairs, filled as builds ask for them.
+
+    A fringe on the ordered pair q = m * 2N + p has grating k_m - k_p, so its
+    replays depend on q alone.  They are entries start[q]:start[q] + count[q]
+    of `pair` (flat indices a * 2N + b, ascending) and of `detuning` (the z
+    part of k_a - k_b - k_m + k_p); start[q] is -1 until q is searched.
+    """
+
+    def __init__(self, n: int):
+        self.limit = n * n  # entries kept at most
+        self.start = np.full(n * n, -1, dtype=np.intp)
+        self.count = np.zeros(n * n, dtype=np.intp)
+        self.pair = np.zeros(0, dtype=np.intp)
+        self.detuning = np.zeros(0)
+
+    def add(self, own: np.ndarray, blocks: list) -> None:
+        """Keep the replays of the pairs `own` from (fringe, pair, detuning) blocks
+        in fringe order, as `cmt._confirmed` yields them."""
+        fringe, pair, detuning = (np.concatenate(column) for column in zip(*blocks, _NO_REPLAYS))
+        edges = fringe.searchsorted(np.arange(len(own) + 1))
+        self.start[own] = len(self.pair) + edges[:-1]
+        self.count[own] = edges[1:] - edges[:-1]
+        self.pair = np.concatenate((self.pair, pair))
+        self.detuning = np.concatenate((self.detuning, detuning))
+
+    def take(self, own: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fringe, pair, detuning) of the kept replays of the searched pairs `own`,
+        own[0]'s first."""
+        count = self.count[own]
+        fringe = np.arange(len(own)).repeat(count)
+        ends = count.cumsum()  # entry k of fringe f's run is at start[own[f]] + k
+        index = np.arange(len(fringe)) + (self.start[own] - ends + count)[fringe]
+        return fringe, self.pair[index], self.detuning[index]
+
+
 def make_cone_basis(geometry: ConeGeometry) -> ModeSet:
     """The mode set of `geometry`, which must have dimension >= 2.
 
     One set is kept per geometry for the process (up to `MODE_SETS_KEPT`),
-    so its modes, wave vectors and pair table are built once.  Geometries
+    so its modes, wave vectors and pair table are built once, and the
+    parasitic replays of a recorded pair are searched for once.  Geometries
     share a set only when every field has the same type and repr: 0.0 and
     -0.0, or 1 and 1.0, are equal but write different bytes.
     """

@@ -14,7 +14,7 @@ import hologate.cmt as cmt
 from hologate.circuit import CNOT_MATRIX
 from hologate.cli import build_parser, main
 from hologate.formats import dump_json, load_json, matrix_to_dict
-from hologate.modes import MAX_DIMENSION
+from hologate.modes import MAX_DIMENSION, _kept_mode_set
 
 from conftest import haar_unitary, strict_json
 
@@ -79,7 +79,10 @@ class TestCompileSimulateVerify:
         # parasitic replays from recorded pairs, and pass 2 merges them onto
         # the recorded couplings: the plan misses its own target, and verify
         # says why.  With no parasitic candidates the same plan verifies at
-        # fidelity 1, and says nothing.
+        # fidelity 1, and says nothing.  The first verify keeps the replays on
+        # the geometry's mode set, so the kept sets are cleared before the
+        # search is patched out, and again after, so that no later test reads
+        # the empty replays the patched search left.
         cfg = tmp_path / "cfg"
         assert main(["init", "--dimension", "64", "--out-dir", str(cfg)]) == 0
         target = tmp_path / "haar64.json"
@@ -95,8 +98,12 @@ class TestCompileSimulateVerify:
             "note: 512 parasitic replays merged onto recorded pairs: the aperture "
             "does not resolve their gratings within 2*pi/D\n")
 
+        _kept_mode_set.cache_clear()
         monkeypatch.setattr(cmt, "_near_pairs", lambda *args: iter(()))
-        assert main([*verify, str(tmp_path / "lazy.json")]) == 0
+        try:
+            assert main([*verify, str(tmp_path / "lazy.json")]) == 0
+        finally:
+            _kept_mode_set.cache_clear()
         assert load_json(tmp_path / "lazy.json")["fidelity"] > 1.0 - 1e-9
         assert capsys.readouterr().err == ""
 
