@@ -234,8 +234,8 @@ class Hologram:
 
 def _thickness(thickness: float | None) -> float | None:
     """A set thickness as a float, checked; None leaves it unset."""
-    return None if thickness is None else float(_require_real(
-        thickness, ValueError, "thickness", rule="be positive and finite when set"))
+    return None if thickness is None else _require_real(
+        thickness, ValueError, "thickness", rule="be positive and finite when set")
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ class GratingStack:
 
 @dataclass(frozen=True)
 class MaterialSpec:
-    """Recording-medium limits used by feasibility checks."""
+    """Recording-medium limits used by feasibility checks, each stored as a Python float."""
 
     max_total_thickness: float
     max_index_modulation: float
@@ -267,7 +267,9 @@ class MaterialSpec:
 
     def __post_init__(self):
         for name in ("max_total_thickness", "max_index_modulation", "meters_per_recording"):
-            _require_real(getattr(self, name), ValueError, name)
+            object.__setattr__(self, name, _require_real(getattr(self, name), ValueError, name))
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:

@@ -333,12 +333,14 @@ def _position_from_key(parent: dict, key: str, context: str, modes: ModeSet) -> 
 
 
 def plan_to_dict(stack: GratingStack) -> dict:
+    """The plan's payload; each mode is named by the mode set's own mode in its slot."""
+    keys = [_mode_key(m) for m in stack.mode_set.universe]  # each fringe writes its own copy
+    order = [(key["role"], key["index"]) for key in keys]
     holograms = []
     for hologram in stack.holograms:
         table = hologram._fringes
-        keys = [_mode_key(m) for m in table.modes]  # each fringe writes its own copy
-        order = [(key["role"], key["index"]) for key in keys]
-        component, partner = table.component.tolist(), table.partner.tolist()
+        positions = table.positions(stack.mode_set)
+        component, partner = positions[table.component].tolist(), positions[table.partner].tolist()
         coefficient, bounds = table.coefficient.tolist(), table.bounds
         exposures = []
         rows = zip(bounds, bounds[1:], table.delta_n.tolist(), table.phase.tolist())

@@ -42,22 +42,22 @@ MODE_SETS_KEPT = 8
 
 def _require_real(value, error: type[Exception], name: str, low: float = 0.0,
                   high: float = math.inf, rule: str = "be positive and finite", label: str = ""):
-    """`value` when it is a real number, not a bool, with a finite float value
-    and low < value < high.
+    """`value` as a Python float, when it is a real number, not a bool, whose
+    float is finite and lies in (low, high).
 
     Otherwise raise `error`: "<name> must be a real number" for a wrong type,
-    else "<label or name> must <rule>, got <value>".
+    else "<label or name> must <rule>, got <value>", with `value` as given.
     """
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        number = float(value)
     except OverflowError:  # an int or Fraction beyond float range
-        finite = False
-    if not (finite and low < value < high):
+        number = math.inf
+    if not (math.isfinite(number) and low < number < high):
         raise error(f"{label or name} must {rule}, got {value}")
-    return value
+    return number
 
 
 class Role(enum.Enum):
@@ -102,7 +102,7 @@ class ConeGeometry:
     reference waves indistinguishable to the grating.  ``ModeSet(geometry)``
     builds the bases for any ``dimension`` from 1 to ``MAX_DIMENSION``;
     ``make_cone_basis``, which every plan reader and command uses, asks for
-    a computational basis, N >= 2.
+    a computational basis, N >= 2.  Each real field is stored as a Python float.
     """
 
     dimension: int
@@ -123,17 +123,19 @@ class ConeGeometry:
                 f"dimension must lie in [1, {MAX_DIMENSION}], got {self.dimension}"
             )
         for name in ("signal_half_angle", "reference_half_angle"):
-            _require_real(getattr(self, name), InvalidGeometry, name, high=math.pi / 2,
-                          rule="lie in (0, pi/2)")
+            object.__setattr__(self, name, _require_real(
+                getattr(self, name), InvalidGeometry, name, 0.0, math.pi / 2, "lie in (0, pi/2)"))
         if math.isclose(
             self.signal_half_angle, self.reference_half_angle, rel_tol=1e-12, abs_tol=0.0
         ):
             raise InvalidGeometry("signal and reference cones must have distinct half angles")
-        _require_real(self.wavelength, InvalidGeometry, "wavelength")
-        _require_real(self.aperture_breadth, InvalidGeometry, "aperture_breadth",
-                      label="aperture breadth")
+        object.__setattr__(self, "wavelength",
+                           _require_real(self.wavelength, InvalidGeometry, "wavelength"))
+        object.__setattr__(self, "aperture_breadth", _require_real(
+            self.aperture_breadth, InvalidGeometry, "aperture_breadth", label="aperture breadth"))
         for name in ("signal_azimuth_offset", "reference_azimuth_offset"):
-            _require_real(getattr(self, name), InvalidGeometry, name, -math.inf, rule="be finite")
+            object.__setattr__(self, name, _require_real(
+                getattr(self, name), InvalidGeometry, name, -math.inf, rule="be finite"))
 
     @property
     def wavenumber(self) -> float:
@@ -282,12 +284,12 @@ def make_cone_basis(geometry: ConeGeometry) -> ModeSet:
     One set is kept per geometry for the process (up to `MODE_SETS_KEPT`),
     so its modes, wave vectors and pair table are built once, and the
     parasitic replays of a recorded pair are searched for once.  Geometries
-    share a set only when every field has the same type and repr: 0.0 and
-    -0.0, or 1 and 1.0, are equal but write different bytes.
+    share a set only when every stored field has the same repr: 0.0 and
+    -0.0 are equal but write different bytes.
     """
     if geometry.dimension < 2:
         raise InvalidGeometry("a computational basis needs dimension >= 2")
-    key = (type(geometry), *((type(value), repr(value)) for value in vars(geometry).values()))
+    key = (type(geometry), *map(repr, vars(geometry).values()))
     return _kept_mode_set(key, geometry)
 
 

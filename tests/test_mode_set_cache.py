@@ -1,13 +1,15 @@
 """The mode sets a process keeps, one per geometry, and what they hold.
 
 `make_cone_basis` returns one `ModeSet` per geometry for the life of the
-process, from an LRU of `MODE_SETS_KEPT` sets keyed on each field's type
-and repr.  Equal geometries that write different bytes (0.0 and -0.0, 1
-and 1.0) must keep their own sets, every cached array must be read-only,
-and the pair table must give pass 2 the hits of its own sort.
+process, from an LRU of `MODE_SETS_KEPT` sets keyed on the repr of each
+stored field, a Python float for every real field.  Equal geometries that
+write different bytes (0.0 and -0.0) must keep their own sets, equal ones
+given as other number types must share one, every cached array must be
+read-only, and the pair table must give pass 2 the hits of its own sort.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +34,6 @@ def test_equal_geometries_share_one_mode_set():
 @pytest.mark.parametrize("field, first, second", [
     ("signal_azimuth_offset", 0.0, -0.0),
     ("signal_azimuth_offset", -0.0, 0.0),
-    ("reference_azimuth_offset", 3, 3.0),
-    ("wavelength", 6.33e-7, np.float64(6.33e-7)),
 ])
 def test_equal_geometries_that_write_other_bytes_keep_their_own_set(field, first, second):
     geometries = [replace(geometry(4), **{field: value}) for value in (first, second)]
@@ -63,14 +63,34 @@ def test_signed_zero_offset_plans_write_their_own_bytes(tmp_path):
     assert texts[0] == texts[2] != texts[1]
 
 
-def test_int_field_through_the_api_writes_an_int():
+@pytest.mark.parametrize("field, first, second", [
+    ("reference_azimuth_offset", 3, 3.0),
+    ("reference_azimuth_offset", np.int64(3), 3.0),
+    ("wavelength", 6.33e-7, np.float64(6.33e-7)),
+    ("signal_half_angle", np.float32(0.08), float(np.float32(0.08))),
+    ("aperture_breadth", Fraction(1, 200), 5e-3),
+])
+def test_equal_fields_of_other_number_types_share_one_set(field, first, second):
+    sets = [make_cone_basis(replace(geometry(4), **{field: value})) for value in (first, second)]
+    assert sets[0] is sets[1]
+    assert type(getattr(sets[0].geometry, field)) is float
+
+
+def test_signed_zeros_through_the_api_keep_their_own_sets():
+    sets = [make_cone_basis(replace(geometry(4), reference_azimuth_offset=value))
+            for value in (0.0, -0.0, 0, np.float64(-0.0))]
+    assert sets[0] is not sets[1]
+    assert sets[2] is sets[0] and sets[3] is sets[1]
+
+
+def test_int_field_through_the_api_writes_a_float():
     as_int = replace(geometry(2), reference_azimuth_offset=3)
     as_float = replace(geometry(2), reference_azimuth_offset=3.0)
-    for g, text in ((as_float, "3.0"), (as_int, "3"), (as_float, "3.0")):
+    for g in (as_float, as_int, as_float):
         modes = make_cone_basis(g)
         stack = GratingStack((compile_redirection(modes),), modes)
         written = formats.plan_to_dict(stack)["geometry"]["reference_offset_rad"]
-        assert repr(written) == text
+        assert repr(written) == "3.0"
 
 
 def test_cached_arrays_are_read_only():
